@@ -37,6 +37,7 @@
 #include "sim/fleetgen.h"
 #include "util/json.h"
 #include "util/logging.h"
+#include "util/parse.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -201,7 +202,7 @@ main(int argc, char **argv)
         } else if (arg == "--threads") {
             threads = parseList(next(), "threads");
         } else if (arg == "--ticks") {
-            override_ticks = std::strtoul(next().c_str(), nullptr, 10);
+            override_ticks = util::parseUnsigned(next().c_str(), "--ticks");
         } else if (arg == "--json") {
             json = true;
             if (i + 1 < argc && argv[i + 1][0] != '-')

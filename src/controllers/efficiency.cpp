@@ -10,225 +10,267 @@
 namespace nps {
 namespace controllers {
 
-EfficiencyController::EfficiencyController(sim::Server &server,
-                                           const Params &params)
-    : ctl::ControlLoop("EC/" + std::to_string(server.id())),
-      server_(server),
-      params_(params),
-      name_("EC/" + std::to_string(server.id())),
-      freq_(server.spec().pstates().fastest().freq_mhz,
-            server.spec().pstates().slowest().freq_mhz,
-            server.spec().pstates().fastest().freq_mhz)
+namespace {
+
+/**
+ * @p x clamped to the frequency range of @p table — util::clamp without
+ * its range check (a P-state table is strictly decreasing).
+ */
+inline double
+clampTo(double x, const model::PStateTable &table)
+{
+    return std::min(table.fastest().freq_mhz,
+                    std::max(table.slowest().freq_mhz, x));
+}
+
+} // namespace
+
+EcLevel::EcLevel(const EcParams &params) : params_(params) {}
+
+size_t
+EcLevel::add(sim::Server &srv)
 {
     if (params_.r_ref <= 0.0 || params_.r_ref >= 1.0)
         util::fatal("EC: r_ref %f out of (0,1)", params_.r_ref);
     if (!ctl::ecGainStable(params_.lambda, params_.r_ref)) {
         util::warn("EC/%u: lambda %f violates the global stability bound "
-                   "1/r_ref = %f", server.id(), params_.lambda,
+                   "1/r_ref = %f", srv.id(), params_.lambda,
                    ctl::ecLambdaBound(params_.r_ref));
     }
-    setReference(params_.r_ref);
+    const size_t slot = server.size();
+    server.push_back(&srv);
+    table.push_back(&srv.spec().pstates());
+    ident.push_back("EC/" + std::to_string(srv.id()));
+    reference.push_back(params_.r_ref);
+    last_measurement.push_back(0.0);
+    last_error.push_back(0.0);
+    steps.push_back(0);
+    freq.push_back(table.back()->fastest().freq_mhz);
+    degrade.emplace_back();
+    cur_tick.push_back(0);
+    held_util.push_back(0.0);
+    was_down.push_back(0);
+    obs_pstate_changes.push_back(nullptr);
+    obs_restarts.push_back(nullptr);
+    obs_stuck.push_back(nullptr);
+    obs_trace.push_back(nullptr);
+    return slot;
 }
 
 void
-EfficiencyController::attachObs(obs::MetricsRegistry *metrics,
-                                obs::TraceSink *trace)
+EcLevel::stepRange(size_t tick, size_t lo, size_t hi)
 {
-    if (metrics) {
-        obs_pstate_changes_ = metrics->counter(
-            "nps_ec_pstate_changes_total", name_,
-            "P-state transitions actuated by the EC");
-        obs_restarts_ = metrics->counter(
-            "nps_ec_restarts_total", name_,
-            "Cold restarts after an EC outage");
-        obs_stuck_ = metrics->counter(
-            "nps_ec_stuck_actuations_total", name_,
-            "P-state writes swallowed by a stuck actuator fault");
-    }
-    if (trace)
-        obs_trace_ = trace->channel(name_);
+    for (size_t i = lo; i < hi; ++i)
+        stepSlot(i, tick);
 }
 
-void
-EfficiencyController::step(size_t tick)
+inline void
+EcLevel::stepSlot(size_t i, size_t tick)
 {
+    sim::Server &srv = *server[i];
     if (faults_ && faults_->down(fault::Level::EC,
-                                 static_cast<long>(server_.id()), tick)) {
-        if (!was_down_ && obs_trace_)
-            obs_trace_->emit(tick, "outage begins: EC down, P-state held");
-        ++degrade_.outage_ticks;
-        ++degrade_.outage_steps;
-        was_down_ = true;
+                                 static_cast<long>(srv.id()), tick)) {
+        if (!was_down[i] && obs_trace[i])
+            obs_trace[i]->emit(tick, "outage begins: EC down, P-state held");
+        ++degrade[i].outage_ticks;
+        ++degrade[i].outage_steps;
+        was_down[i] = 1;
         return;
     }
-    if (was_down_) {
-        was_down_ = false;
-        ++degrade_.restarts;
-        if (obs_restarts_)
-            obs_restarts_->add();
-        if (obs_trace_)
-            obs_trace_->emit(tick, "cold restart after outage: back to "
-                                   "P0, integrator and r_ref reset");
-        restartCold();
+    if (was_down[i]) {
+        was_down[i] = 0;
+        ++degrade[i].restarts;
+        if (obs_restarts[i])
+            obs_restarts[i]->add();
+        if (obs_trace[i])
+            obs_trace[i]->emit(tick, "cold restart after outage: back to "
+                                     "P0, integrator and r_ref reset");
+        restartCold(i);
     }
-    cur_tick_ = tick;
-    if (!server_.isOn(tick)) {
+    cur_tick[i] = tick;
+    if (!srv.isOn(tick)) {
         // Nothing to manage; reset to full speed so a rebooted machine
         // comes back at P0, as firmware does.
-        freq_.setValue(freq_.hi());
+        freq[i] = table[i]->fastest().freq_mhz;
         return;
     }
     if (params_.objective == EcObjective::EnergyDelay) {
-        stepEnergyDelay(tick);
+        stepEnergyDelay(i, tick);
         return;
     }
-    ControlLoop::step();
+    // One loop interval (Figure 3): measure, error, control law,
+    // actuate. Consumed frequency f_C = r * f at the quantized operating
+    // point; f(k) = f(k-1) - gain * (r_ref - r), integral on frequency.
+    const double measurement = sensedUtil(i, tick, srv.lastApparentUtil());
+    last_measurement[i] = measurement;
+    const double error = reference[i] - measurement;
+    last_error[i] = error;
+    const double f_c = measurement * table[i]->at(srv.pstate()).freq_mhz;
+    const double gain = params_.lambda * f_c / reference[i];
+    freq[i] = clampTo(freq[i] + -gain * error, *table[i]);
+    actuate(i, freq[i]);
+    ++steps[i];
 }
 
 void
-EfficiencyController::restartCold()
+EcLevel::restartCold(size_t i)
 {
     // A restarted EC forgets its integrator and any r_ref its SM sent
     // while it was down; the SM re-actuates on its next step.
-    freq_.setValue(freq_.hi());
-    ControlLoop::reset();
-    setReference(params_.r_ref);
+    freq[i] = table[i]->fastest().freq_mhz;
+    last_measurement[i] = 0.0;
+    last_error[i] = 0.0;
+    steps[i] = 0;
+    reference[i] = params_.r_ref;
 }
 
 double
-EfficiencyController::sensedUtil(size_t tick, double raw)
+EcLevel::sensedUtil(size_t i, size_t tick, double raw)
 {
     if (!faults_)
         return raw;
-    long id = static_cast<long>(server_.id());
+    long id = static_cast<long>(server[i]->id());
     if (faults_->utilFrozen(id, tick)) {
-        ++degrade_.noisy_reads;
-        return held_util_;
+        ++degrade[i].noisy_reads;
+        return held_util[i];
     }
     double noise = faults_->utilNoise(id, tick);
     if (noise != 0.0) {
-        ++degrade_.noisy_reads;
+        ++degrade[i].noisy_reads;
         raw = std::min(1.0, std::max(0.0, raw + noise));
     }
-    held_util_ = raw;
+    held_util[i] = raw;
     return raw;
 }
 
-double
-EfficiencyController::measure()
-{
-    return sensedUtil(cur_tick_, server_.lastApparentUtil());
-}
-
-double
-EfficiencyController::control(double error, double measurement)
-{
-    // Consumed frequency f_C = r * f at the quantized operating point.
-    double f_c = measurement * server_.frequencyMhz();
-    double gain = params_.lambda * f_c / reference();
-    // f(k) = f(k-1) - gain * (r_ref - r): integral law on the frequency.
-    return freq_.update(-gain, error);
-}
-
 void
-EfficiencyController::actuate(double value)
+EcLevel::actuate(size_t i, double value)
 {
-    const auto &table = server_.spec().pstates();
-    size_t p = params_.quantize_up ? table.quantizeUp(value)
-                                   : table.quantizeNearest(value);
-    if (p != server_.pstate() && faults_ &&
-        faults_->pstateStuck(static_cast<long>(server_.id()), cur_tick_)) {
+    sim::Server &srv = *server[i];
+    size_t p = params_.quantize_up ? table[i]->quantizeUp(value)
+                                   : table[i]->quantizeNearest(value);
+    if (p == srv.pstate())
+        return;
+    if (faults_ &&
+        faults_->pstateStuck(static_cast<long>(srv.id()), cur_tick[i])) {
         // The firmware actuator swallowed the write; the integrator keeps
         // running against the stuck plant (realistic windup).
-        ++degrade_.stuck_actuations;
-        if (obs_stuck_)
-            obs_stuck_->add();
-        if (obs_trace_)
-            obs_trace_->emit(cur_tick_,
-                             "actuator stuck: P%zu held (wanted P%zu)",
-                             server_.pstate(), p);
+        ++degrade[i].stuck_actuations;
+        if (obs_stuck[i])
+            obs_stuck[i]->add();
+        if (obs_trace[i])
+            obs_trace[i]->emit(cur_tick[i],
+                               "actuator stuck: P%zu held (wanted P%zu)",
+                               srv.pstate(), p);
         return;
     }
-    if (p != server_.pstate()) {
-        if (obs_pstate_changes_)
-            obs_pstate_changes_->add();
-        if (obs_trace_)
-            obs_trace_->emit(cur_tick_,
-                             "P%zu -> P%zu: f_cont=%.6g MHz r_ref=%.6g",
-                             server_.pstate(), p, value, reference());
-    }
-    server_.setPState(p);
+    if (obs_pstate_changes[i])
+        obs_pstate_changes[i]->add();
+    if (obs_trace[i])
+        obs_trace[i]->emit(cur_tick[i],
+                           "P%zu -> P%zu: f_cont=%.6g MHz r_ref=%.6g",
+                           srv.pstate(), p, value, reference[i]);
+    srv.setPState(p);
 }
 
 void
-EfficiencyController::stepEnergyDelay(size_t tick)
+EcLevel::stepEnergyDelay(size_t i, size_t tick)
 {
     // Estimate current real demand from the last measurement and pick the
     // state minimizing power * delay ~ power / relSpeed, while keeping
     // apparent utilization under the reference.
-    double demand = sensedUtil(tick, server_.lastRealUtil());
-    const auto &m = server_.model();
-    const auto &table = m.pstates();
+    sim::Server &srv = *server[i];
+    double demand = sensedUtil(i, tick, srv.lastRealUtil());
+    const auto &m = srv.model();
+    const auto &states = m.pstates();
     size_t best = 0;
     double best_score = 0.0;
     bool have = false;
-    for (size_t p = 0; p < table.size(); ++p) {
-        if (m.apparentUtil(p, demand) > reference() && p != 0)
+    for (size_t p = 0; p < states.size(); ++p) {
+        if (m.apparentUtil(p, demand) > reference[i] && p != 0)
             continue;
-        double score = m.powerForDemand(p, demand) / table.relSpeed(p);
+        double score = m.powerForDemand(p, demand) / states.relSpeed(p);
         if (!have || score < best_score) {
             best = p;
             best_score = score;
             have = true;
         }
     }
-    if (best != server_.pstate() && faults_ &&
-        faults_->pstateStuck(static_cast<long>(server_.id()), tick)) {
-        ++degrade_.stuck_actuations;
-        if (obs_stuck_)
-            obs_stuck_->add();
+    if (best != srv.pstate() && faults_ &&
+        faults_->pstateStuck(static_cast<long>(srv.id()), tick)) {
+        ++degrade[i].stuck_actuations;
+        if (obs_stuck[i])
+            obs_stuck[i]->add();
         return;
     }
-    if (best != server_.pstate()) {
-        if (obs_pstate_changes_)
-            obs_pstate_changes_->add();
-        if (obs_trace_)
-            obs_trace_->emit(tick,
-                             "P%zu -> P%zu: energy-delay best for "
-                             "demand=%.6g",
-                             server_.pstate(), best, demand);
+    if (best != srv.pstate()) {
+        if (obs_pstate_changes[i])
+            obs_pstate_changes[i]->add();
+        if (obs_trace[i])
+            obs_trace[i]->emit(tick,
+                               "P%zu -> P%zu: energy-delay best for "
+                               "demand=%.6g",
+                               srv.pstate(), best, demand);
     }
-    server_.setPState(best);
-    freq_.setValue(table.at(best).freq_mhz);
+    srv.setPState(best);
+    freq[i] = clampTo(states.at(best).freq_mhz, states);
+}
+
+EfficiencyController::EfficiencyController(sim::Server &server,
+                                           const Params &params)
+    : own_(std::make_shared<EcLevel>(params)), level_(own_.get()),
+      slot_(own_->add(server))
+{
+}
+
+void
+EfficiencyController::attachObs(obs::MetricsRegistry *metrics,
+                                obs::TraceSink *trace)
+{
+    EcLevel &l = *level_;
+    if (metrics) {
+        l.obs_pstate_changes[slot_] = metrics->counter(
+            "nps_ec_pstate_changes_total", name(),
+            "P-state transitions actuated by the EC");
+        l.obs_restarts[slot_] = metrics->counter(
+            "nps_ec_restarts_total", name(),
+            "Cold restarts after an EC outage");
+        l.obs_stuck[slot_] = metrics->counter(
+            "nps_ec_stuck_actuations_total", name(),
+            "P-state writes swallowed by a stuck actuator fault");
+    }
+    if (trace)
+        l.obs_trace[slot_] = trace->channel(name());
 }
 
 void
 EfficiencyController::saveState(ckpt::SectionWriter &w) const
 {
-    w.putDouble(reference());
-    w.putDouble(lastMeasurement());
-    w.putDouble(lastError());
-    w.putU64(steps());
-    w.putDouble(freq_.value());
-    degrade_.saveState(w);
-    w.putU64(cur_tick_);
-    w.putDouble(held_util_);
-    w.putBool(was_down_);
+    const EcLevel &l = *level_;
+    w.putDouble(l.reference[slot_]);
+    w.putDouble(l.last_measurement[slot_]);
+    w.putDouble(l.last_error[slot_]);
+    w.putU64(l.steps[slot_]);
+    w.putDouble(l.freq[slot_]);
+    l.degrade[slot_].saveState(w);
+    w.putU64(l.cur_tick[slot_]);
+    w.putDouble(l.held_util[slot_]);
+    w.putBool(l.was_down[slot_] != 0);
 }
 
 void
 EfficiencyController::loadState(ckpt::SectionReader &r)
 {
-    double ref = r.getDouble();
-    double meas = r.getDouble();
-    double err = r.getDouble();
-    auto steps = static_cast<unsigned long>(r.getU64());
-    restoreLoopState(ref, meas, err, steps);
-    freq_.setValue(r.getDouble());
-    degrade_.loadState(r);
-    cur_tick_ = static_cast<size_t>(r.getU64());
-    held_util_ = r.getDouble();
-    was_down_ = r.getBool();
+    EcLevel &l = *level_;
+    l.reference[slot_] = r.getDouble();
+    l.last_measurement[slot_] = r.getDouble();
+    l.last_error[slot_] = r.getDouble();
+    l.steps[slot_] = static_cast<unsigned long>(r.getU64());
+    l.freq[slot_] = clampTo(r.getDouble(), *l.table[slot_]);
+    l.degrade[slot_].loadState(r);
+    l.cur_tick[slot_] = static_cast<size_t>(r.getU64());
+    l.held_util[slot_] = r.getDouble();
+    l.was_down[slot_] = r.getBool() ? 1 : 0;
 }
 
 } // namespace controllers

@@ -28,7 +28,7 @@ namespace controllers {
 /**
  * The per-server electrical capper.
  */
-class ElectricalCapper : public sim::Actor, public ViolationTracker
+class ElectricalCapper : public ViolationTracker
 {
   public:
     /** Tunable parameters. */
@@ -51,17 +51,12 @@ class ElectricalCapper : public sim::Actor, public ViolationTracker
     ElectricalCapper(sim::Server &server, double limit_watts,
                      const Params &params);
 
-    /// @name sim::Actor
+    /// @name Schedule (stepped by a PerServerLevel range kernel)
     /// @{
-    const std::string &name() const override { return name_; }
-    unsigned period() const override { return params_.period; }
-    void observe(size_t tick) override;
-    void step(size_t tick) override;
-    /** Shardable: touches only its own server. */
-    long shardKey() const override
-    {
-        return static_cast<long>(server_.id());
-    }
+    const std::string &name() const { return name_; }
+    unsigned period() const { return params_.period; }
+    void observe(size_t tick);
+    void step(size_t tick);
     /// @}
 
     /** The electrical limit (watts). */

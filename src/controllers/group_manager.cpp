@@ -246,10 +246,14 @@ GroupManager::scopePower() const
     // Serial left-fold in server-id order: for a full-cluster scope this
     // reproduces ClusterTick::total_power bit-for-bit (same fold). Reads
     // go straight to the SoA power array (slot == ServerId).
+    if (scope_epoch_ == cluster_.evaluations())
+        return scope_power_;
     const std::vector<double> &power = cluster_.serverState().power;
     double sum = 0.0;
     for (sim::ServerId id : scope_ids_)
         sum += power[id];
+    scope_power_ = sum;
+    scope_epoch_ = cluster_.evaluations();
     return sum;
 }
 

@@ -164,7 +164,11 @@ class GroupManager : public sim::Actor, public ViolationTracker
     /** @return true when a parent GM feeds this one. */
     bool hasParent() const { return has_parent_; }
 
-    /** Total last-tick power of every server in this GM's scope. */
+    /**
+     * Total last-tick power of every server in this GM's scope. Summed
+     * once per cluster evaluation (a parent GM's observe and this GM's
+     * own both read it each tick) and cached until the next one.
+     */
     double scopePower() const;
 
     /** The SMs of every server in this GM's scope, in id order. */
@@ -273,6 +277,10 @@ class GroupManager : public sim::Actor, public ViolationTracker
      * values, identical fold order).
      */
     std::vector<sim::ServerId> scope_ids_;
+    /** scopePower() cache, valid while cluster_.evaluations() equals
+     * scope_epoch_. */
+    mutable double scope_power_ = 0.0;
+    mutable uint64_t scope_epoch_ = ~uint64_t{0};
     /**
      * Per-server demand estimates feed only the uncoordinated
      * direct-to-server division; coordinated GMs skip maintaining them

@@ -36,7 +36,7 @@ namespace controllers {
 /**
  * The per-server memory low-power controller.
  */
-class MemoryManager : public sim::Actor
+class MemoryManager
 {
   public:
     /** Tunable parameters. */
@@ -54,16 +54,13 @@ class MemoryManager : public sim::Actor
     /** @param server the managed server; must outlive the controller. */
     MemoryManager(sim::Server &server, const Params &params);
 
-    /// @name sim::Actor
+    /// @name Schedule (stepped by a PerServerLevel range kernel)
     /// @{
-    const std::string &name() const override { return name_; }
-    unsigned period() const override { return params_.period; }
-    void step(size_t tick) override;
-    /** Shardable: touches only its own server. */
-    long shardKey() const override
-    {
-        return static_cast<long>(server_.id());
-    }
+    const std::string &name() const { return name_; }
+    unsigned period() const { return params_.period; }
+    /** Nothing to accumulate between steps. */
+    void observe(size_t tick) { (void)tick; }
+    void step(size_t tick);
     /// @}
 
     /** Active parameters. */

@@ -6,6 +6,7 @@
 #include "obs/decision_trace.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
+#include "util/stats.h"
 
 namespace nps {
 namespace controllers {
@@ -25,291 +26,262 @@ grantBounds(const sim::Server &server, size_t tick)
     return b;
 }
 
-ServerManager::ServerManager(sim::Server &server, EfficiencyController *ec,
-                             double static_cap, const Params &params)
-    : ctl::ControlLoop("SM/" + std::to_string(server.id())),
-      server_(server),
-      ec_(ec),
-      static_cap_(static_cap),
-      dynamic_cap_(static_cap),
-      params_(params),
-      name_("SM/" + std::to_string(server.id())),
-      r_ref_(params.r_ref_min, params.r_ref_min, params.r_ref_max)
+SmLevel::SmLevel(const SmParams &params) : params_(params) {}
+
+size_t
+SmLevel::add(sim::Server &srv, EfficiencyController *ec, double cap)
 {
-    if (static_cap_ <= 0.0)
-        util::fatal("SM/%u: non-positive static cap", server.id());
-    if (params_.mode == Mode::Coordinated && !ec_)
+    if (params_.r_ref_min > params_.r_ref_max)
+        util::fatal("SM/%u: r_ref_min %f > r_ref_max %f", srv.id(),
+                    params_.r_ref_min, params_.r_ref_max);
+    if (cap <= 0.0)
+        util::fatal("SM/%u: non-positive static cap", srv.id());
+    if (params_.mode == SmMode::Coordinated && !ec)
         util::fatal("SM/%u: coordinated mode requires a nested EC",
-                    server.id());
-    if (ec_) {
-        ref_link_.emplace(
-            name_ + "->EC/" + std::to_string(server.id()),
-            [this](const bus::ReferenceUpdate &u) {
-                ec_->setReference(u.r_ref);
-            });
+                    srv.id());
+    const size_t slot = server.size();
+    server.push_back(&srv);
+    ident.push_back("SM/" + std::to_string(srv.id()));
+    static_cap.push_back(cap);
+    dynamic_cap.push_back(cap);
+    reference.push_back(0.0);
+    last_measurement.push_back(0.0);
+    last_error.push_back(0.0);
+    steps.push_back(0);
+    r_ref.push_back(
+        util::clamp(params_.r_ref_min, params_.r_ref_min, params_.r_ref_max));
+    violations.emplace_back();
+    if (ec) {
+        ref_link.push_back(std::make_unique<bus::ReferenceLink>(
+            ident.back() + "->EC/" + std::to_string(srv.id()),
+            [ec](const bus::ReferenceUpdate &u) {
+                ec->setReference(u.r_ref);
+            }));
+    } else {
+        ref_link.push_back(nullptr);
     }
+    step_tick.push_back(0);
+    degrade.emplace_back();
+    budget_tick.push_back(0);
+    trace_ctx.push_back(0);
+    lease_expired.push_back(0);
+    was_down.push_back(0);
+    ec_fallback.push_back(0);
+    obs_grant_clamps.push_back(nullptr);
+    obs_lease_expiries.push_back(nullptr);
+    obs_ec_fallback_steps.push_back(nullptr);
+    obs_restarts.push_back(nullptr);
+    obs_cap.push_back(nullptr);
+    obs_trace.push_back(nullptr);
     // Normalized-power stability check: the effective slope of power with
     // respect to r_ref is bounded by maxPowerSlope()/maxPower.
-    double c_max = server_.model().maxPowerSlope() /
-                   server_.model().maxPower();
+    double c_max = srv.model().maxPowerSlope() / srv.model().maxPower();
     if (!ctl::smGainStable(params_.beta, c_max)) {
         util::warn("SM/%u: beta %f violates the stability bound 2/c_max "
-                   "= %f", server.id(), params_.beta,
-                   ctl::smBetaBound(c_max));
+                   "= %f", srv.id(), params_.beta, ctl::smBetaBound(c_max));
     }
-    setReference(effectiveCap());
+    reference[slot] = effectiveCap(slot);
+    return slot;
 }
 
 void
-ServerManager::setBudget(double watts)
+SmLevel::setBudget(size_t i, double watts)
 {
     if (watts <= 0.0)
         util::fatal("SM/%u: non-positive budget recommendation",
-                    server_.id());
-    dynamic_cap_ = watts;
-    setReference(effectiveCap());
-}
-
-void
-ServerManager::setBudget(double watts, size_t tick, uint32_t trace)
-{
-    setBudget(watts);
-    budget_tick_ = tick;
-    trace_ctx_ = trace;
-    if (params_.mode == Mode::Coordinated && watts < static_cap_) {
-        if (obs_grant_clamps_)
-            obs_grant_clamps_->add();
-        if (obs_trace_)
-            obs_trace_->emit(tick,
-                             "clamped budget %.6gW -> %.6gW: grant < "
-                             "static",
-                             static_cap_, watts);
-    }
-}
-
-void
-ServerManager::attachObs(obs::MetricsRegistry *metrics,
-                         obs::TraceSink *trace)
-{
-    if (metrics) {
-        obs_grant_clamps_ = metrics->counter(
-            "nps_sm_grant_clamps_total", name_,
-            "Dynamic grants below the static cap (grant won the min)");
-        obs_lease_expiries_ = metrics->counter(
-            "nps_sm_lease_expiries_total", name_,
-            "Budget leases that lapsed into the local fallback cap");
-        obs_ec_fallback_steps_ = metrics->counter(
-            "nps_sm_ec_fallback_steps_total", name_,
-            "Steps spent capping P-states directly because the nested "
-            "EC was down");
-        obs_restarts_ = metrics->counter(
-            "nps_sm_restarts_total", name_,
-            "Cold restarts after an SM outage");
-        obs_cap_ = metrics->gauge(
-            "nps_sm_cap_watts", name_,
-            "Budget enforced by the SM at its most recent step");
-    }
-    if (trace)
-        obs_trace_ = trace->channel(name_);
+                    server[i]->id());
+    dynamic_cap[i] = watts;
+    reference[i] = effectiveCap(i);
 }
 
 double
-ServerManager::effectiveCap() const
+SmLevel::effectiveCap(size_t i) const
 {
-    if (params_.mode == Mode::Coordinated)
-        return std::min(static_cap_, dynamic_cap_);
+    if (params_.mode == SmMode::Coordinated)
+        return std::min(static_cap[i], dynamic_cap[i]);
     // Solo capper: the management console's setting is the setting.
-    return dynamic_cap_;
+    return dynamic_cap[i];
 }
 
 bool
-ServerManager::leaseLapsed(size_t tick) const
+SmLevel::leaseLapsed(size_t i, size_t tick) const
 {
-    return params_.mode == Mode::Coordinated && params_.lease_ticks > 0 &&
-           tick > budget_tick_ + params_.lease_ticks;
+    return params_.mode == SmMode::Coordinated && params_.lease_ticks > 0 &&
+           tick > budget_tick[i] + params_.lease_ticks;
 }
 
 double
-ServerManager::currentCap(size_t tick) const
+SmLevel::currentCap(size_t i, size_t tick) const
 {
-    if (leaseLapsed(tick))
-        return std::min(static_cap_, params_.lease_fallback * static_cap_);
-    return effectiveCap();
+    if (leaseLapsed(i, tick))
+        return std::min(static_cap[i],
+                        params_.lease_fallback * static_cap[i]);
+    return effectiveCap(i);
 }
 
 void
-ServerManager::restartCold(size_t tick)
+SmLevel::restartCold(size_t i, size_t tick)
 {
     // A restarted SM has no memory of its integrator or of any grant its
     // parent sent while it was down; it re-enters on the static budget
     // with a fresh lease and waits for the next recommendation.
-    r_ref_.setValue(params_.r_ref_min);
-    ControlLoop::reset();
-    dynamic_cap_ = static_cap_;
-    budget_tick_ = tick;
-    trace_ctx_ = 0;
-    lease_expired_ = false;
-    setReference(effectiveCap());
+    r_ref[i] = util::clamp(params_.r_ref_min, params_.r_ref_min,
+                           params_.r_ref_max);
+    last_measurement[i] = 0.0;
+    last_error[i] = 0.0;
+    steps[i] = 0;
+    dynamic_cap[i] = static_cap[i];
+    budget_tick[i] = tick;
+    trace_ctx[i] = 0;
+    lease_expired[i] = 0;
+    reference[i] = effectiveCap(i);
 }
 
 void
-ServerManager::observe(size_t tick)
+SmLevel::observeRange(size_t tick, size_t lo, size_t hi)
 {
+    for (size_t i = lo; i < hi; ++i)
+        observeSlot(i, tick);
+}
+
+inline void
+SmLevel::observeSlot(size_t i, size_t tick)
+{
+    const sim::Server &srv = *server[i];
     if (faults_) {
-        if (faults_->down(fault::Level::SM,
-                          static_cast<long>(server_.id()), tick)) {
+        if (faults_->down(fault::Level::SM, static_cast<long>(srv.id()),
+                          tick)) {
             // A down SM records nothing — its CIM interface is dark.
-            ++degrade_.outage_ticks;
-            was_down_ = true;
+            ++degrade[i].outage_ticks;
+            was_down[i] = 1;
             return;
         }
-        if (was_down_) {
-            was_down_ = false;
-            ++degrade_.restarts;
-            if (obs_restarts_)
-                obs_restarts_->add();
-            if (obs_trace_)
-                obs_trace_->emit(tick,
-                                 "cold restart after outage: static "
-                                 "budget %.6gW, fresh lease",
-                                 static_cap_);
-            restartCold(tick);
+        if (was_down[i]) {
+            was_down[i] = 0;
+            ++degrade[i].restarts;
+            if (obs_restarts[i])
+                obs_restarts[i]->add();
+            if (obs_trace[i])
+                obs_trace[i]->emit(tick,
+                                   "cold restart after outage: static "
+                                   "budget %.6gW, fresh lease",
+                                   static_cap[i]);
+            restartCold(i, tick);
         }
     }
     // Violation bookkeeping runs at tick granularity and against the
     // *static* budget: dynamic grants re-provision headroom but the
     // physical fuse/fan limit is CAP_LOC, and that is the signal the
     // exposed (CIM-style) interface reports to the VMC.
-    if (server_.platformPower(tick) != sim::PlatformPower::Off)
-        record(server_.lastPower() > static_cap_ + 1e-9);
+    if (srv.platformPower(tick) != sim::PlatformPower::Off)
+        violations[i].record(srv.lastPower() > static_cap[i] + 1e-9);
 }
 
 void
-ServerManager::attachControlLog(bus::ControlPlaneLog *log)
+SmLevel::stepRange(size_t tick, size_t lo, size_t hi)
 {
-    if (ref_link_)
-        ref_link_->attachLog(log);
+    for (size_t i = lo; i < hi; ++i)
+        stepSlot(i, tick);
 }
 
-void
-ServerManager::attachTransport(bus::Transport *transport,
-                               const bus::OwnerFn &owner)
+inline void
+SmLevel::stepSlot(size_t i, size_t tick)
 {
-    if (!ref_link_)
-        return;
-    const int rank =
-        owner ? owner(bus::OwnerLevel::Sm, static_cast<long>(server_.id()))
-              : 0;
-    ref_link_->setTransport(transport, rank);
-}
-
-void
-ServerManager::step(size_t tick)
-{
-    step_tick_ = tick;
+    const sim::Server &srv = *server[i];
+    step_tick[i] = tick;
     if (faults_ && faults_->down(fault::Level::SM,
-                                 static_cast<long>(server_.id()), tick)) {
-        ++degrade_.outage_steps;
+                                 static_cast<long>(srv.id()), tick)) {
+        ++degrade[i].outage_steps;
         return;
     }
-    if (!server_.isOn(tick))
+    if (!srv.isOn(tick))
         return;
 
     // Lease bookkeeping: degrade to the conservative local cap when the
     // parent has gone silent past the lease, and recover the moment a
     // fresh grant lands.
-    bool lapsed = leaseLapsed(tick);
-    if (lapsed) {
-        if (!lease_expired_) {
-            lease_expired_ = true;
-            ++degrade_.lease_expiries;
-            if (obs_lease_expiries_)
-                obs_lease_expiries_->add();
-            if (obs_trace_)
-                obs_trace_->emit(tick,
-                                 "lease expired (grant from tick %zu, "
-                                 "lease %u) -> fallback cap %.6gW",
-                                 budget_tick_, params_.lease_ticks,
-                                 currentCap(tick));
+    if (leaseLapsed(i, tick)) {
+        if (!lease_expired[i]) {
+            lease_expired[i] = 1;
+            ++degrade[i].lease_expiries;
+            if (obs_lease_expiries[i])
+                obs_lease_expiries[i]->add();
+            if (obs_trace[i])
+                obs_trace[i]->emit(tick,
+                                   "lease expired (grant from tick %zu, "
+                                   "lease %u) -> fallback cap %.6gW",
+                                   budget_tick[i], params_.lease_ticks,
+                                   currentCap(i, tick));
         }
-        ++degrade_.lease_fallback_steps;
+        ++degrade[i].lease_fallback_steps;
     } else {
-        if (lease_expired_ && obs_trace_)
-            obs_trace_->emit(tick,
-                             "lease recovered: fresh grant, enforcing "
-                             "%.6gW",
-                             effectiveCap());
-        lease_expired_ = false;
+        if (lease_expired[i] && obs_trace[i])
+            obs_trace[i]->emit(tick,
+                               "lease recovered: fresh grant, enforcing "
+                               "%.6gW",
+                               effectiveCap(i));
+        lease_expired[i] = 0;
     }
-    double cap = currentCap(tick);
-    if (obs_cap_)
-        obs_cap_->set(cap);
+    const double cap = currentCap(i, tick);
+    if (obs_cap[i])
+        obs_cap[i]->set(cap);
 
-    bool ec_down = faults_ && ec_ &&
+    bool ec_down = faults_ && ref_link[i] &&
                    faults_->down(fault::Level::EC,
-                                 static_cast<long>(server_.id()), tick);
-    if (params_.mode == Mode::DirectPState || ec_down) {
+                                 static_cast<long>(srv.id()), tick);
+    if (params_.mode == SmMode::DirectPState || ec_down) {
         // With the nested EC down nobody runs the inner loop; the SM
         // degrades to capping P-states directly, like a solo product.
-        if (ec_down && params_.mode == Mode::Coordinated) {
-            ++degrade_.ec_fallback_steps;
-            if (obs_ec_fallback_steps_)
-                obs_ec_fallback_steps_->add();
-            if (!ec_fallback_ && obs_trace_)
-                obs_trace_->emit(tick, "nested EC down -> direct "
-                                       "P-state capping");
-            ec_fallback_ = true;
+        if (ec_down && params_.mode == SmMode::Coordinated) {
+            ++degrade[i].ec_fallback_steps;
+            if (obs_ec_fallback_steps[i])
+                obs_ec_fallback_steps[i]->add();
+            if (!ec_fallback[i] && obs_trace[i])
+                obs_trace[i]->emit(tick, "nested EC down -> direct "
+                                         "P-state capping");
+            ec_fallback[i] = 1;
         }
-        stepDirect(tick, cap);
+        stepDirect(i, tick, cap);
         return;
     }
-    if (ec_fallback_) {
-        ec_fallback_ = false;
-        if (obs_trace_)
-            obs_trace_->emit(tick, "nested EC back -> r_ref actuation "
-                                   "resumed");
+    if (ec_fallback[i]) {
+        ec_fallback[i] = 0;
+        if (obs_trace[i])
+            obs_trace[i]->emit(tick, "nested EC back -> r_ref actuation "
+                                     "resumed");
     }
-    setReference(cap);
-    ControlLoop::step();
-}
-
-double
-ServerManager::measure()
-{
-    return server_.lastPower();
-}
-
-double
-ServerManager::control(double error, double measurement)
-{
-    (void)measurement;
+    // One loop interval (Figure 3) against the enforced cap:
     // r_ref(k) = r_ref(k-1) - beta * (cap - pow), with power normalized
     // by the machine's peak so beta is machine-independent. The release
     // direction (power under cap, error > 0) uses a reduced gain.
-    double norm_error = error / server_.model().maxPower();
-    double beta = params_.beta *
-                  (error > 0.0 ? params_.release_gain_ratio : 1.0);
-    return r_ref_.update(-beta, norm_error);
+    reference[i] = cap;
+    const double measurement = srv.lastPower();
+    last_measurement[i] = measurement;
+    const double error = reference[i] - measurement;
+    last_error[i] = error;
+    const double norm_error = error / srv.model().maxPower();
+    const double beta =
+        params_.beta * (error > 0.0 ? params_.release_gain_ratio : 1.0);
+    // util::clamp without its range check: add() validated min <= max.
+    const double r = r_ref[i] + -beta * norm_error;
+    r_ref[i] = std::min(params_.r_ref_max, std::max(params_.r_ref_min, r));
+    ref_link[i]->send(r_ref[i], step_tick[i]);
+    ++steps[i];
 }
 
 void
-ServerManager::actuate(double value)
+SmLevel::stepDirect(size_t i, size_t tick, double cap)
 {
-    ref_link_->send(value, step_tick_);
-}
-
-void
-ServerManager::stepDirect(size_t tick, double cap)
-{
-    double pow = server_.lastPower();
-    const auto &m = server_.model();
-    size_t p = server_.pstate();
-    size_t slowest = server_.spec().pstates().slowestIndex();
+    sim::Server &srv = *server[i];
+    double pow = srv.lastPower();
+    const auto &m = srv.model();
+    size_t p = srv.pstate();
+    size_t slowest = srv.spec().pstates().slowestIndex();
     size_t q = p;
     if (pow > cap) {
         // Hardware cappers clamp immediately: jump to the fastest state
         // predicted to respect the budget for the current load.
-        double demand = server_.lastRealUtil();
+        double demand = srv.lastRealUtil();
         while (q < slowest && m.powerForDemand(q, demand) > cap)
             ++q;
     } else if (pow < cap * (1.0 - params_.unthrottle_margin) && p > 0) {
@@ -318,67 +290,143 @@ ServerManager::stepDirect(size_t tick, double cap)
     }
     if (q == p)
         return;
-    if (faults_ && faults_->pstateStuck(static_cast<long>(server_.id()),
-                                        tick)) {
+    if (faults_ && faults_->pstateStuck(static_cast<long>(srv.id()), tick)) {
         // The firmware actuator swallowed the write.
-        ++degrade_.stuck_actuations;
+        ++degrade[i].stuck_actuations;
         return;
     }
-    if (obs_trace_)
-        obs_trace_->emit(tick, "%s P%zu -> P%zu: pow=%.6gW cap=%.6gW",
-                         q > p ? "throttle" : "unthrottle", p, q, pow,
-                         cap);
-    server_.setPState(q);
+    if (obs_trace[i])
+        obs_trace[i]->emit(tick, "%s P%zu -> P%zu: pow=%.6gW cap=%.6gW",
+                           q > p ? "throttle" : "unthrottle", p, q, pow,
+                           cap);
+    srv.setPState(q);
+}
+
+ServerManager::ServerManager(sim::Server &server, EfficiencyController *ec,
+                             double static_cap, const Params &params)
+    : own_(std::make_shared<SmLevel>(params)), level_(own_.get()),
+      slot_(own_->add(server, ec, static_cap))
+{
+}
+
+void
+ServerManager::setBudget(double watts, size_t tick, uint32_t trace)
+{
+    SmLevel &l = *level_;
+    l.setBudget(slot_, watts);
+    l.budget_tick[slot_] = tick;
+    l.trace_ctx[slot_] = trace;
+    if (l.params().mode == Mode::Coordinated && watts < l.static_cap[slot_]) {
+        if (l.obs_grant_clamps[slot_])
+            l.obs_grant_clamps[slot_]->add();
+        if (l.obs_trace[slot_])
+            l.obs_trace[slot_]->emit(tick,
+                                     "clamped budget %.6gW -> %.6gW: "
+                                     "grant < static",
+                                     l.static_cap[slot_], watts);
+    }
+}
+
+void
+ServerManager::attachObs(obs::MetricsRegistry *metrics,
+                         obs::TraceSink *trace)
+{
+    SmLevel &l = *level_;
+    if (metrics) {
+        l.obs_grant_clamps[slot_] = metrics->counter(
+            "nps_sm_grant_clamps_total", name(),
+            "Dynamic grants below the static cap (grant won the min)");
+        l.obs_lease_expiries[slot_] = metrics->counter(
+            "nps_sm_lease_expiries_total", name(),
+            "Budget leases that lapsed into the local fallback cap");
+        l.obs_ec_fallback_steps[slot_] = metrics->counter(
+            "nps_sm_ec_fallback_steps_total", name(),
+            "Steps spent capping P-states directly because the nested "
+            "EC was down");
+        l.obs_restarts[slot_] = metrics->counter(
+            "nps_sm_restarts_total", name(),
+            "Cold restarts after an SM outage");
+        l.obs_cap[slot_] = metrics->gauge(
+            "nps_sm_cap_watts", name(),
+            "Budget enforced by the SM at its most recent step");
+    }
+    if (trace)
+        l.obs_trace[slot_] = trace->channel(name());
+}
+
+void
+ServerManager::attachControlLog(bus::ControlPlaneLog *log)
+{
+    if (level_->ref_link[slot_])
+        level_->ref_link[slot_]->attachLog(log);
+}
+
+void
+ServerManager::attachTransport(bus::Transport *transport,
+                               const bus::OwnerFn &owner)
+{
+    bus::ReferenceLink *link = level_->ref_link[slot_].get();
+    if (!link)
+        return;
+    const int rank =
+        owner ? owner(bus::OwnerLevel::Sm,
+                      static_cast<long>(server().id()))
+              : 0;
+    link->setTransport(transport, rank);
 }
 
 void
 ServerManager::saveState(ckpt::SectionWriter &w) const
 {
-    w.putDouble(reference());
-    w.putDouble(lastMeasurement());
-    w.putDouble(lastError());
-    w.putU64(steps());
-    ViolationTracker::saveState(w);
-    w.putDouble(dynamic_cap_);
-    w.putDouble(r_ref_.value());
-    w.putU64(step_tick_);
-    degrade_.saveState(w);
-    w.putU64(budget_tick_);
-    w.putU32(trace_ctx_);
-    w.putBool(lease_expired_);
-    w.putBool(was_down_);
-    w.putBool(ec_fallback_);
-    w.putBool(ref_link_.has_value());
-    if (ref_link_)
-        ref_link_->saveState(w);
+    const SmLevel &l = *level_;
+    const size_t i = slot_;
+    w.putDouble(l.reference[i]);
+    w.putDouble(l.last_measurement[i]);
+    w.putDouble(l.last_error[i]);
+    w.putU64(l.steps[i]);
+    l.violations[i].saveState(w);
+    w.putDouble(l.dynamic_cap[i]);
+    w.putDouble(l.r_ref[i]);
+    w.putU64(l.step_tick[i]);
+    l.degrade[i].saveState(w);
+    w.putU64(l.budget_tick[i]);
+    w.putU32(l.trace_ctx[i]);
+    w.putBool(l.lease_expired[i] != 0);
+    w.putBool(l.was_down[i] != 0);
+    w.putBool(l.ec_fallback[i] != 0);
+    w.putBool(l.ref_link[i] != nullptr);
+    if (l.ref_link[i])
+        l.ref_link[i]->saveState(w);
 }
 
 void
 ServerManager::loadState(ckpt::SectionReader &r)
 {
-    double ref = r.getDouble();
-    double meas = r.getDouble();
-    double err = r.getDouble();
-    auto steps = static_cast<unsigned long>(r.getU64());
-    restoreLoopState(ref, meas, err, steps);
-    ViolationTracker::loadState(r);
-    dynamic_cap_ = r.getDouble();
-    r_ref_.setValue(r.getDouble());
-    step_tick_ = static_cast<size_t>(r.getU64());
-    degrade_.loadState(r);
-    budget_tick_ = static_cast<size_t>(r.getU64());
-    trace_ctx_ = r.getU32();
-    lease_expired_ = r.getBool();
-    was_down_ = r.getBool();
-    ec_fallback_ = r.getBool();
+    SmLevel &l = *level_;
+    const size_t i = slot_;
+    l.reference[i] = r.getDouble();
+    l.last_measurement[i] = r.getDouble();
+    l.last_error[i] = r.getDouble();
+    l.steps[i] = static_cast<unsigned long>(r.getU64());
+    l.violations[i].loadState(r);
+    l.dynamic_cap[i] = r.getDouble();
+    l.r_ref[i] = util::clamp(r.getDouble(), l.params().r_ref_min,
+                             l.params().r_ref_max);
+    l.step_tick[i] = static_cast<size_t>(r.getU64());
+    l.degrade[i].loadState(r);
+    l.budget_tick[i] = static_cast<size_t>(r.getU64());
+    l.trace_ctx[i] = r.getU32();
+    l.lease_expired[i] = r.getBool() ? 1 : 0;
+    l.was_down[i] = r.getBool() ? 1 : 0;
+    l.ec_fallback[i] = r.getBool() ? 1 : 0;
     bool has_link = r.getBool();
-    if (has_link != ref_link_.has_value())
+    if (has_link != (l.ref_link[i] != nullptr))
         util::fatal("SM %s restore: reference-link presence mismatch "
                     "(snapshot %d, rebuilt %d)",
                     name().c_str(), has_link ? 1 : 0,
-                    ref_link_ ? 1 : 0);
-    if (ref_link_)
-        ref_link_->loadState(r);
+                    l.ref_link[i] ? 1 : 0);
+    if (l.ref_link[i])
+        l.ref_link[i]->loadState(r);
 }
 
 } // namespace controllers

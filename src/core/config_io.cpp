@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace nps {
 namespace core {
@@ -162,9 +163,10 @@ configFromIni(const IniDocument &ini)
     cfg.alpha_m = ini.getDouble("deployment", "alpha_m", cfg.alpha_m);
     cfg.cap_limit_frac = ini.getDouble("deployment", "cap_limit_frac",
                                        cfg.cap_limit_frac);
-    cfg.threads = static_cast<unsigned>(
-        ini.getInt("deployment", "threads",
-                   static_cast<long>(cfg.threads)));
+    if (ini.has("deployment", "threads")) {
+        cfg.threads = util::parseThreads(
+            ini.get("deployment", "threads").c_str(), "[deployment] threads");
+    }
     cfg.log_control_plane = ini.getBool("deployment",
                                         "log_control_plane",
                                         cfg.log_control_plane);

@@ -105,50 +105,62 @@ Coordinator::buildServerLevel()
     sim::Cluster &cl = *cluster_;
     const fault::FaultInjector *inj = injector_.get();
 
-    // Innermost first: one EC per server.
+    // Innermost first: one EC per server. Each per-server level is one
+    // struct-of-arrays kernel in the engine; ecs_/sms_/caps_/mems_ hold
+    // the per-server views of its slots (slot == server id), allocated
+    // in one block each.
     if (config_.enable_ec) {
-        for (auto &srv : cl.servers()) {
-            auto ec = std::make_shared<controllers::EfficiencyController>(
-                srv, config_.ec);
-            ec->setFaultInjector(inj);
-            ecs_.push_back(ec);
-            engine_->addActor(ec);
-        }
+        ec_level_ = std::make_shared<controllers::EcLevel>(config_.ec);
+        ec_level_->setFaultInjector(inj);
+        auto views = std::make_shared<
+            std::vector<controllers::EfficiencyController>>();
+        views->reserve(cl.numServers());
+        for (auto &srv : cl.servers())
+            views->emplace_back(*ec_level_, ec_level_->add(srv));
+        for (auto &ec : *views)
+            ecs_.emplace_back(views, &ec);
+        engine_->addActor(ec_level_);
     }
 
     // SMs nested on the ECs (or standalone direct cappers).
     if (config_.enable_sm) {
+        sm_level_ = std::make_shared<controllers::SmLevel>(config_.sm);
+        sm_level_->setFaultInjector(inj);
+        auto views =
+            std::make_shared<std::vector<controllers::ServerManager>>();
+        views->reserve(cl.numServers());
         for (auto &srv : cl.servers()) {
             controllers::EfficiencyController *ec =
                 config_.enable_ec ? ecs_[srv.id()].get() : nullptr;
-            auto sm = std::make_shared<controllers::ServerManager>(
-                srv, ec, cl.capLoc(srv.id()), config_.sm);
-            sm->setFaultInjector(inj);
-            sms_.push_back(sm);
-            engine_->addActor(sm);
+            views->emplace_back(*sm_level_,
+                                sm_level_->add(srv, ec, cl.capLoc(srv.id())));
         }
+        for (auto &sm : *views)
+            sms_.emplace_back(views, &sm);
+        engine_->addActor(sm_level_);
     }
 
     // Optional electrical cappers, parallel to the ECs.
     if (config_.enable_cap) {
+        auto level = std::make_shared<CapLevel>(
+            "CAP[*]", config_.cap.period, cl.numServers());
         for (auto &srv : cl.servers()) {
-            auto cap = std::make_shared<controllers::ElectricalCapper>(
+            auto &cap = level->add(
                 srv, config_.cap_limit_frac * srv.model().maxPower(),
                 config_.cap);
-            cap->setFaultInjector(inj);
-            caps_.push_back(cap);
-            engine_->addActor(cap);
+            cap.setFaultInjector(inj);
+            caps_.emplace_back(level, &cap);
         }
+        engine_->addActor(level);
     }
 
     // Optional memory managers: the second per-server actuator.
     if (config_.enable_mem) {
-        for (auto &srv : cl.servers()) {
-            auto mm = std::make_shared<controllers::MemoryManager>(
-                srv, config_.mem);
-            mems_.push_back(mm);
-            engine_->addActor(mm);
-        }
+        auto level = std::make_shared<MemLevel>(
+            "MM[*]", config_.mem.period, cl.numServers());
+        for (auto &srv : cl.servers())
+            mems_.emplace_back(level, &level->add(srv, config_.mem));
+        engine_->addActor(level);
     }
 }
 

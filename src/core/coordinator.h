@@ -36,6 +36,7 @@
 
 #include "bus/cascade.h"
 #include "bus/control_log.h"
+#include "controllers/per_server_level.h"
 #include "core/config.h"
 #include "fault/injector.h"
 #include "obs/observability.h"
@@ -315,6 +316,13 @@ class Coordinator
     std::unique_ptr<sim::Engine> engine_;
     std::unique_ptr<bus::ControlPlaneLog> control_log_;
     std::unique_ptr<bus::CascadeTracer> cascade_;
+    using CapLevel = controllers::PerServerLevel<controllers::ElectricalCapper>;
+    using MemLevel = controllers::PerServerLevel<controllers::MemoryManager>;
+    /** The per-server levels (null when disabled), engine kernels. */
+    std::shared_ptr<controllers::EcLevel> ec_level_;
+    std::shared_ptr<controllers::SmLevel> sm_level_;
+    /** Per-server views, each vector aliasing one contiguous block
+     * (caps_/mems_ alias into their level). */
     std::vector<std::shared_ptr<controllers::EfficiencyController>> ecs_;
     std::vector<std::shared_ptr<controllers::ServerManager>> sms_;
     std::vector<std::shared_ptr<controllers::EnclosureManager>> ems_;

@@ -14,12 +14,6 @@ PowerModel::PowerModel(PStateTable table)
 }
 
 double
-PowerModel::powerAt(size_t state, double util) const
-{
-    return table_.at(state).powerAt(util);
-}
-
-double
 PowerModel::maxPower() const
 {
     return table_.fastest().peakPower();

@@ -37,7 +37,11 @@ class PowerModel
     const PStateTable &pstates() const { return table_; }
 
     /** Power (watts) at @p state with apparent utilization @p util. */
-    double powerAt(size_t state, double util) const;
+    double
+    powerAt(size_t state, double util) const
+    {
+        return table_.at(state).powerAt(util);
+    }
 
     /** Peak power of the machine: P0 at full utilization. */
     double maxPower() const;

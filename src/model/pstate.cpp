@@ -7,12 +7,10 @@
 namespace nps {
 namespace model {
 
-double
-PState::powerAt(double util) const
+void
+PState::utilOutOfRange(double util)
 {
-    if (util < 0.0 || util > 1.0)
-        util::panic("PState::powerAt(%f): utilization out of [0,1]", util);
-    return dyn_watts * util + idle_watts;
+    util::panic("PState::powerAt(%f): utilization out of [0,1]", util);
 }
 
 PStateTable::PStateTable(std::vector<PState> states)
@@ -42,27 +40,10 @@ PStateTable::PStateTable(std::vector<PState> states)
     }
 }
 
-const PState &
-PStateTable::at(size_t index) const
+void
+PStateTable::outOfRange(size_t index)
 {
-    if (index >= states_.size())
-        util::panic("PStateTable::at(%zu): out of range", index);
-    return states_[index];
-}
-
-size_t
-PStateTable::quantizeUp(double freq_mhz) const
-{
-    // States are sorted by decreasing frequency; find the slowest state
-    // that still provides at least freq_mhz.
-    size_t chosen = 0;
-    for (size_t i = 0; i < states_.size(); ++i) {
-        if (states_[i].freq_mhz >= freq_mhz)
-            chosen = i;
-        else
-            break;
-    }
-    return chosen;
+    util::panic("PStateTable::at(%zu): out of range", index);
 }
 
 size_t

@@ -35,7 +35,15 @@ struct PState
     double idle_watts = 0.0;
 
     /** Power at utilization @p util in [0,1]: c_p * util + d_p. */
-    double powerAt(double util) const;
+    double
+    powerAt(double util) const
+    {
+        if (util < 0.0 || util > 1.0)
+            utilOutOfRange(util);
+        return dyn_watts * util + idle_watts;
+    }
+
+    [[noreturn]] static void utilOutOfRange(double util);
 
     /** Peak power of this state (utilization 1). */
     double peakPower() const { return dyn_watts + idle_watts; }
@@ -63,7 +71,13 @@ class PStateTable
     size_t size() const { return states_.size(); }
 
     /** @return the state at @p index. @pre index < size() */
-    const PState &at(size_t index) const;
+    const PState &
+    at(size_t index) const
+    {
+        if (index >= states_.size())
+            outOfRange(index);
+        return states_[index];
+    }
 
     /** @return P0, the highest-frequency state. */
     const PState &fastest() const { return states_.front(); }
@@ -80,7 +94,20 @@ class PStateTable
      * (i.e., rounds capacity up so demand can still be served); clamps to
      * the table's range.
      */
-    size_t quantizeUp(double freq_mhz) const;
+    size_t
+    quantizeUp(double freq_mhz) const
+    {
+        // States are sorted by decreasing frequency; find the slowest
+        // state that still provides at least freq_mhz.
+        size_t chosen = 0;
+        for (size_t i = 0; i < states_.size(); ++i) {
+            if (states_[i].freq_mhz >= freq_mhz)
+                chosen = i;
+            else
+                break;
+        }
+        return chosen;
+    }
 
     /** Quantize to the state with the nearest frequency. */
     size_t quantizeNearest(double freq_mhz) const;
@@ -102,6 +129,8 @@ class PStateTable
     PStateTable extremesOnly() const;
 
   private:
+    [[noreturn]] static void outOfRange(size_t index);
+
     std::vector<PState> states_;
 };
 

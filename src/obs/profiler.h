@@ -1,19 +1,20 @@
 /**
  * @file
- * EngineProfiler: per-actor, per-phase wall-clock timing for the tick
+ * EngineProfiler: per-level, per-phase wall-clock timing for the tick
  * engine, with shard/thread attribution.
  *
- * The engine (when a profiler is attached) times every observe() and
- * step() call and the two engine-level phases (cluster evaluation,
- * metrics recording). Per-actor accumulators are pre-sized at plan
- * time; within a tick each actor is touched by exactly one worker (the
- * engine's shard contract), and the barriers between segments order
- * the accesses across ticks, so accumulation needs no locks.
+ * The engine (when a profiler is attached) times every global actor's
+ * observe()/step() call, every per-server kernel call on each shard
+ * (one row per kernel x shard), and the two engine-level phases
+ * (cluster evaluation, metrics recording). Row accumulators are
+ * pre-sized at plan time; within a tick each row is touched by exactly
+ * one worker, and the barriers between stages order the accesses across
+ * ticks, so accumulation needs no locks.
  *
  * Profiling measures wall-clock only — it never feeds back into the
  * simulation arithmetic, so results stay bit-identical with or without
  * it. The *timings* naturally vary run to run; only the structural
- * fields (actors, shards, call counts) are deterministic.
+ * fields (rows, shards, call counts) are deterministic.
  */
 
 #ifndef NPS_OBS_PROFILER_H
@@ -38,14 +39,15 @@ enum class EnginePhase
 class EngineProfiler
 {
   public:
-    /** What the engine tells us about one scheduled actor. */
+    /** What the engine tells us about one row: a global actor or one
+     * shard of a per-server kernel. */
     struct ActorInfo
     {
         std::string name;
-        long shard_key = -1; //!< Actor::kGlobalShard for global actors
+        long shard_key = -1; //!< kernel shard index; -1 for global actors
     };
 
-    /** Per-actor accumulated timings. */
+    /** Per-row accumulated timings. */
     struct ActorStats
     {
         ActorInfo info;
@@ -53,7 +55,7 @@ class EngineProfiler
         std::uint64_t observe_ns = 0;
         std::uint64_t step_calls = 0;
         std::uint64_t step_ns = 0;
-        unsigned slot = 0; //!< worker slot that last ran the actor
+        unsigned slot = 0; //!< worker slot that last ran the row
     };
 
     using Clock = std::chrono::steady_clock;
@@ -68,13 +70,13 @@ class EngineProfiler
     }
 
     /**
-     * (Re)announce the schedule. Called by the engine whenever it
-     * rebuilds its plan; accumulated timings survive as long as the
-     * actor list is unchanged, otherwise they reset.
+     * (Re)announce the schedule rows. Called by the engine at every
+     * run(); accumulated timings survive as long as the row list is
+     * unchanged, otherwise they reset.
      */
     void setSchedule(std::vector<ActorInfo> actors, unsigned threads);
 
-    /** Record one observe() call of actor @p idx on worker @p slot. */
+    /** Record one observe call of row @p idx on worker @p slot. */
     void addObserve(size_t idx, std::uint64_t ns, unsigned slot)
     {
         ActorStats &s = actors_[idx];
@@ -83,7 +85,7 @@ class EngineProfiler
         s.slot = slot;
     }
 
-    /** Record one step() call of actor @p idx on worker @p slot. */
+    /** Record one step call of row @p idx on worker @p slot. */
     void addStep(size_t idx, std::uint64_t ns, unsigned slot)
     {
         ActorStats &s = actors_[idx];
@@ -109,12 +111,12 @@ class EngineProfiler
     std::uint64_t phaseNs(EnginePhase phase) const;
 
     /**
-     * Human-readable summary: per-actor rows sorted by total time
+     * Human-readable summary: rows sorted by total time
      * (descending, name tiebreak), engine phases, run totals.
      */
     void writeTable(std::ostream &out) const;
 
-    /** The same data as JSON (actors in schedule order). */
+    /** The same data as JSON (rows in schedule order). */
     void writeJson(std::ostream &out) const;
 
   private:

@@ -213,12 +213,10 @@ Cluster::serverMaxPower(ServerId id) const
     return server_max_[id];
 }
 
-double
-Cluster::capLoc(ServerId id) const
+void
+Cluster::capLocOutOfRange(ServerId id) const
 {
-    if (id >= cap_loc_.size())
-        util::panic("Cluster::capLoc(%u): out of range", id);
-    return cap_loc_[id];
+    util::panic("Cluster::capLoc(%u): out of range", id);
 }
 
 double
@@ -283,6 +281,7 @@ Cluster::evaluateTick(size_t tick, util::ThreadPool *pool)
     // sensor arrays directly (cluster-owned servers are never reseated,
     // so slot i is server i) and reuses last_'s buffers in place — no
     // per-tick allocation.
+    ++evaluations_;
     last_.total_power = 0.0;
     last_.demanded_useful = 0.0;
     last_.served_useful = 0.0;
@@ -331,6 +330,7 @@ Cluster::saveState(ckpt::SectionWriter &w) const
 void
 Cluster::loadState(ckpt::SectionReader &r)
 {
+    ++evaluations_;
     auto n_servers = static_cast<size_t>(r.getU64());
     auto n_vms = static_cast<size_t>(r.getU64());
     if (n_servers != servers_.size() || n_vms != vms_.size())

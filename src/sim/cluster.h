@@ -171,7 +171,13 @@ class Cluster
     double serverMaxPower(ServerId id) const;
 
     /** Static local cap CAP_LOC of server @p id. */
-    double capLoc(ServerId id) const;
+    double
+    capLoc(ServerId id) const
+    {
+        if (id >= cap_loc_.size())
+            capLocOutOfRange(id);
+        return cap_loc_[id];
+    }
 
     /** Maximum possible power of enclosure @p id. */
     double enclosureMaxPower(EnclosureId id) const;
@@ -201,6 +207,13 @@ class Cluster
      */
     const ClusterTick &evaluateTick(size_t tick,
                                     util::ThreadPool *pool = nullptr);
+
+    /**
+     * Number of evaluateTick() calls and restores so far: a cache of
+     * anything derived from the per-server sensors is fresh while this
+     * is unchanged.
+     */
+    uint64_t evaluations() const { return evaluations_; }
 
     /** The most recent evaluation (zeros before the first). */
     const ClusterTick &lastTick() const { return last_; }
@@ -268,12 +281,14 @@ class Cluster
     double alpha_v_;
     double alpha_m_;
     ClusterTick last_;
+    uint64_t evaluations_ = 0;
 
     // Static caps, cached at construction (specs are immutable). The
     // cached values are computed with exactly the arithmetic the
     // accessors used to run per call, so goldens are bit-identical.
     std::vector<double> server_max_;
     std::vector<double> cap_loc_;
+    [[noreturn]] void capLocOutOfRange(ServerId id) const;
     std::vector<double> enc_max_;
     std::vector<double> cap_enc_;
     double group_max_ = 0.0;

@@ -46,6 +46,9 @@ Engine::addActor(std::shared_ptr<Actor> actor)
 void
 Engine::setThreads(unsigned threads)
 {
+    if (threads > util::kMaxThreads)
+        util::fatal("Engine::setThreads: %u threads requested, at most %u "
+                    "allowed", threads, util::kMaxThreads);
     unsigned resolved =
         threads == 0 ? util::ThreadPool::hardwareThreads() : threads;
     if (resolved == threads_)
@@ -63,7 +66,7 @@ Engine::preparePlan()
 
     // Coarse loops first so inner loops react to fresh outer references
     // within the same tick. Sorting is deferred to here so that actor
-    // registration stays O(1) per insert at fleet scale.
+    // registration stays O(1) per insert.
     std::stable_sort(actors_.begin(), actors_.end(),
                      [](const auto &a, const auto &b) {
                          return a->period() > b->period();
@@ -74,148 +77,116 @@ Engine::preparePlan()
     if (threads_ > 1 && !pool_)
         pool_ = std::make_unique<util::ThreadPool>(threads_);
 
-    // Dispatch caches: raw pointers and periods in schedule order.
-    // period() is a constant of the actor (the paper's T_* control
-    // intervals), so hoisting the virtual call out of the tick loop is
-    // behaviour-preserving.
-    raw_.resize(actors_.size());
-    period_.resize(actors_.size());
-    for (size_t i = 0; i < actors_.size(); ++i) {
+    // Dispatch caches in schedule order. period() is a constant of the
+    // actor (the paper's T_* control intervals), so hoisting the virtual
+    // call out of the tick loop is behaviour-preserving.
+    const size_t n = actors_.size();
+    raw_.resize(n);
+    kernel_.resize(n);
+    period_.resize(n);
+    prof_row_.resize(n);
+    size_t rows = 0;
+    for (size_t i = 0; i < n; ++i) {
         raw_[i] = actors_[i].get();
+        kernel_[i] = dynamic_cast<Kernel *>(raw_[i]);
         period_[i] = actors_[i]->period();
+        prof_row_[i] = rows;
+        rows += kernel_[i] ? threads_ : 1;
     }
 
-    // Static shard assignment: contiguous server-id blocks, one per
-    // worker. Keys beyond the server count land in the last shard.
-    // Shardable runs are flattened shard-major so each worker walks one
-    // contiguous slice of indices per tick.
+    // Cut the schedule into stages: each global actor alone, each run
+    // of consecutive kernels together.
     plan_.clear();
-    const size_t shards = threads_;
-    const size_t servers = cluster_.numServers();
-    const size_t block =
-        std::max<size_t>(1, (servers + shards - 1) / shards);
-    std::vector<std::vector<size_t>> scratch;
-    auto flush = [&]() {
-        if (scratch.empty())
-            return;
-        Segment seg;
-        seg.shardable = true;
-        seg.begin.reserve(scratch.size() + 1);
-        seg.begin.push_back(0);
-        for (const auto &list : scratch) {
-            for (size_t idx : list) {
-                seg.flat.push_back(idx);
-                if (std::find(seg.fire.begin(), seg.fire.end(),
-                              period_[idx]) == seg.fire.end())
-                    seg.fire.push_back(period_[idx]);
-            }
-            seg.begin.push_back(seg.flat.size());
+    for (size_t i = 0; i < n; ++i) {
+        if (!kernel_[i] || plan_.empty() || !plan_.back().kernels) {
+            Stage st;
+            st.first = i;
+            st.kernels = kernel_[i] != nullptr;
+            plan_.push_back(std::move(st));
         }
-        plan_.push_back(std::move(seg));
-        scratch.clear();
-    };
-    for (size_t i = 0; i < actors_.size(); ++i) {
-        long key = raw_[i]->shardKey();
-        if (key < 0) {
-            flush();
-            Segment seg;
-            seg.shardable = false;
-            seg.actor = i;
-            plan_.push_back(std::move(seg));
+        Stage &st = plan_.back();
+        st.last = i + 1;
+        if (!st.kernels)
             continue;
-        }
-        if (scratch.empty())
-            scratch.resize(shards);
-        size_t shard = std::min(static_cast<size_t>(key) / block,
-                                shards - 1);
-        scratch[shard].push_back(i);
+        if (std::find(st.fire.begin(), st.fire.end(), period_[i]) ==
+            st.fire.end())
+            st.fire.push_back(period_[i]);
     }
-    flush();
     plan_dirty_ = false;
 }
 
-/** True when any of the segment's distinct periods fires at @p tick. */
-static bool
-segmentFires(const std::vector<unsigned> &fire, size_t tick)
+void
+Engine::runKernels(const Stage &st, size_t tick, bool observe)
 {
-    for (unsigned p : fire)
-        if (tick % p == 0)
-            return true;
-    return false;
-}
-
-size_t
-Engine::runSerial(size_t ticks)
-{
-    const size_t count = raw_.size();
-    for (size_t i = 0; i < ticks; ++i) {
-        size_t tick = now_;
-        if (source_ && !source_->beginTick(tick))
-            return i;
-        for (Actor *actor : raw_)
-            actor->observe(tick);
-        if (tick > 0) {
-            for (size_t a = 0; a < count; ++a) {
-                if (tick % period_[a] == 0)
-                    raw_[a]->step(tick);
-            }
-        }
-        cluster_.evaluateTick(tick);
-        metrics_.record(cluster_, tick);
-        if (observer_)
-            observer_->endTick(tick);
-        ++now_;
+    if (!observe) {
+        // Skipping the step pass when no member period divides the tick
+        // is exact: every block would have fired zero steps.
+        bool fires = false;
+        for (unsigned p : st.fire)
+            fires = fires || tick % p == 0;
+        if (!fires)
+            return;
     }
-    return ticks;
-}
-
-size_t
-Engine::runParallel(size_t ticks)
-{
-    util::ThreadPool &pool = *pool_;
-    for (size_t i = 0; i < ticks; ++i) {
-        size_t tick = now_;
-        if (source_ && !source_->beginTick(tick))
-            return i;
-        for (const Segment &seg : plan_) {
-            if (!seg.shardable) {
-                raw_[seg.actor]->observe(tick);
+    // Static contiguous server blocks, one per worker — the blocks
+    // Cluster::evaluateTick uses. Slots beyond the server count land in
+    // the last block.
+    const size_t shards = pool_ ? pool_->size() : 1;
+    const size_t servers = cluster_.numServers();
+    const size_t block = std::max<size_t>(1, (servers + shards - 1) / shards);
+    obs::EngineProfiler *prof = profiler_;
+    auto body = [&](size_t s) {
+        for (size_t k = st.first; k < st.last; ++k) {
+            if (!observe && tick % period_[k] != 0)
                 continue;
-            }
-            pool.parallelFor(seg.begin.size() - 1, [&](size_t s) {
-                for (size_t k = seg.begin[s]; k < seg.begin[s + 1]; ++k)
-                    raw_[seg.flat[k]]->observe(tick);
-            });
+            Kernel &kn = *kernel_[k];
+            const size_t slots = kn.slots();
+            const size_t lo = std::min(s * block, slots);
+            const size_t hi =
+                s + 1 == shards ? slots : std::min(lo + block, slots);
+            if (lo >= hi)
+                continue;
+            const auto t0 = prof ? obs::EngineProfiler::Clock::now()
+                                 : obs::EngineProfiler::Clock::time_point();
+            if (observe)
+                kn.observeRange(tick, lo, hi);
+            else
+                kn.stepRange(tick, lo, hi);
+            if (!prof)
+                continue;
+            const size_t row = prof_row_[k] + s;
+            const auto ns = obs::EngineProfiler::sinceNs(t0);
+            if (observe)
+                prof->addObserve(row, ns, static_cast<unsigned>(s));
+            else
+                prof->addStep(row, ns, static_cast<unsigned>(s));
         }
-        if (tick > 0) {
-            for (const Segment &seg : plan_) {
-                if (!seg.shardable) {
-                    if (tick % period_[seg.actor] == 0)
-                        raw_[seg.actor]->step(tick);
-                    continue;
-                }
-                // Skipping the dispatch when no member period divides
-                // the tick is exact: every worker would have fired zero
-                // steps.
-                if (!segmentFires(seg.fire, tick))
-                    continue;
-                pool.parallelFor(seg.begin.size() - 1, [&](size_t s) {
-                    for (size_t k = seg.begin[s]; k < seg.begin[s + 1];
-                         ++k) {
-                        size_t idx = seg.flat[k];
-                        if (tick % period_[idx] == 0)
-                            raw_[idx]->step(tick);
-                    }
-                });
-            }
-        }
-        cluster_.evaluateTick(tick, &pool);
-        metrics_.record(cluster_, tick);
-        if (observer_)
-            observer_->endTick(tick);
-        ++now_;
+    };
+    if (pool_)
+        pool_->parallelFor(shards, body);
+    else
+        body(0);
+}
+
+void
+Engine::runGlobal(size_t a, size_t tick, bool observe)
+{
+    if (!profiler_) {
+        if (observe)
+            raw_[a]->observe(tick);
+        else
+            raw_[a]->step(tick);
+        return;
     }
-    return ticks;
+    auto t0 = obs::EngineProfiler::Clock::now();
+    if (observe) {
+        raw_[a]->observe(tick);
+        profiler_->addObserve(prof_row_[a],
+                              obs::EngineProfiler::sinceNs(t0), 0);
+    } else {
+        raw_[a]->step(tick);
+        profiler_->addStep(prof_row_[a], obs::EngineProfiler::sinceNs(t0),
+                           0);
+    }
 }
 
 void
@@ -229,147 +200,66 @@ Engine::announceSchedule()
 {
     if (!profiler_)
         return;
+    // One row per global actor, one per kernel x shard.
     std::vector<obs::EngineProfiler::ActorInfo> infos;
-    infos.reserve(actors_.size());
-    for (const auto &a : actors_) {
-        obs::EngineProfiler::ActorInfo info;
-        info.name = a->name();
-        info.shard_key = a->shardKey();
-        infos.push_back(std::move(info));
+    for (size_t i = 0; i < actors_.size(); ++i) {
+        const long rows = kernel_[i] ? static_cast<long>(threads_) : 1;
+        for (long s = 0; s < rows; ++s) {
+            obs::EngineProfiler::ActorInfo info;
+            info.name = actors_[i]->name();
+            info.shard_key = kernel_[i] ? s : -1;
+            infos.push_back(std::move(info));
+        }
     }
     profiler_->setSchedule(std::move(infos), threads_);
 }
 
 size_t
-Engine::runSerialProfiled(size_t ticks)
-{
-    using Clock = obs::EngineProfiler::Clock;
-    obs::EngineProfiler &prof = *profiler_;
-    Clock::time_point run_start = Clock::now();
-    size_t done = 0;
-    for (size_t i = 0; i < ticks; ++i) {
-        size_t tick = now_;
-        if (source_ && !source_->beginTick(tick))
-            break;
-        for (size_t a = 0; a < raw_.size(); ++a) {
-            Clock::time_point t0 = Clock::now();
-            raw_[a]->observe(tick);
-            prof.addObserve(a, obs::EngineProfiler::sinceNs(t0), 0);
-        }
-        if (tick > 0) {
-            for (size_t a = 0; a < raw_.size(); ++a) {
-                if (tick % period_[a] != 0)
-                    continue;
-                Clock::time_point t0 = Clock::now();
-                raw_[a]->step(tick);
-                prof.addStep(a, obs::EngineProfiler::sinceNs(t0), 0);
-            }
-        }
-        Clock::time_point t0 = Clock::now();
-        cluster_.evaluateTick(tick);
-        prof.addPhase(obs::EnginePhase::Evaluate,
-                      obs::EngineProfiler::sinceNs(t0));
-        t0 = Clock::now();
-        metrics_.record(cluster_, tick);
-        prof.addPhase(obs::EnginePhase::Record,
-                      obs::EngineProfiler::sinceNs(t0));
-        if (observer_)
-            observer_->endTick(tick);
-        ++now_;
-        ++done;
-    }
-    prof.addRun(done, obs::EngineProfiler::sinceNs(run_start));
-    return done;
-}
-
-size_t
-Engine::runParallelProfiled(size_t ticks)
-{
-    using Clock = obs::EngineProfiler::Clock;
-    obs::EngineProfiler &prof = *profiler_;
-    util::ThreadPool &pool = *pool_;
-    Clock::time_point run_start = Clock::now();
-    size_t done = 0;
-    for (size_t i = 0; i < ticks; ++i) {
-        size_t tick = now_;
-        if (source_ && !source_->beginTick(tick))
-            break;
-        for (const Segment &seg : plan_) {
-            if (!seg.shardable) {
-                Clock::time_point t0 = Clock::now();
-                raw_[seg.actor]->observe(tick);
-                prof.addObserve(seg.actor,
-                                obs::EngineProfiler::sinceNs(t0), 0);
-                continue;
-            }
-            pool.parallelFor(seg.begin.size() - 1, [&](size_t s) {
-                for (size_t k = seg.begin[s]; k < seg.begin[s + 1]; ++k) {
-                    size_t idx = seg.flat[k];
-                    Clock::time_point t0 = Clock::now();
-                    raw_[idx]->observe(tick);
-                    prof.addObserve(idx, obs::EngineProfiler::sinceNs(t0),
-                                    static_cast<unsigned>(s));
-                }
-            });
-        }
-        if (tick > 0) {
-            for (const Segment &seg : plan_) {
-                if (!seg.shardable) {
-                    if (tick % period_[seg.actor] == 0) {
-                        Clock::time_point t0 = Clock::now();
-                        raw_[seg.actor]->step(tick);
-                        prof.addStep(seg.actor,
-                                     obs::EngineProfiler::sinceNs(t0), 0);
-                    }
-                    continue;
-                }
-                if (!segmentFires(seg.fire, tick))
-                    continue;
-                pool.parallelFor(seg.begin.size() - 1, [&](size_t s) {
-                    for (size_t k = seg.begin[s]; k < seg.begin[s + 1];
-                         ++k) {
-                        size_t idx = seg.flat[k];
-                        if (tick % period_[idx] != 0)
-                            continue;
-                        Clock::time_point t0 = Clock::now();
-                        raw_[idx]->step(tick);
-                        prof.addStep(idx,
-                                     obs::EngineProfiler::sinceNs(t0),
-                                     static_cast<unsigned>(s));
-                    }
-                });
-            }
-        }
-        Clock::time_point t0 = Clock::now();
-        cluster_.evaluateTick(tick, &pool);
-        prof.addPhase(obs::EnginePhase::Evaluate,
-                      obs::EngineProfiler::sinceNs(t0));
-        t0 = Clock::now();
-        metrics_.record(cluster_, tick);
-        prof.addPhase(obs::EnginePhase::Record,
-                      obs::EngineProfiler::sinceNs(t0));
-        if (observer_)
-            observer_->endTick(tick);
-        ++now_;
-        ++done;
-    }
-    prof.addRun(done, obs::EngineProfiler::sinceNs(run_start));
-    return done;
-}
-
-size_t
 Engine::run(size_t ticks)
 {
+    using Clock = obs::EngineProfiler::Clock;
     preparePlan();
     announceSchedule();
-    if (threads_ <= 1) {
-        if (profiler_)
-            return runSerialProfiled(ticks);
-        return runSerial(ticks);
+    obs::EngineProfiler *prof = profiler_;
+    const Clock::time_point run_start = prof ? Clock::now()
+                                             : Clock::time_point();
+    size_t done = 0;
+    for (; done < ticks; ++done) {
+        const size_t tick = now_;
+        if (source_ && !source_->beginTick(tick))
+            break;
+        for (const Stage &st : plan_) {
+            if (st.kernels)
+                runKernels(st, tick, true);
+            else
+                runGlobal(st.first, tick, true);
+        }
+        if (tick > 0) {
+            for (const Stage &st : plan_) {
+                if (st.kernels)
+                    runKernels(st, tick, false);
+                else if (tick % period_[st.first] == 0)
+                    runGlobal(st.first, tick, false);
+            }
+        }
+        Clock::time_point t0 = prof ? Clock::now() : Clock::time_point();
+        cluster_.evaluateTick(tick, pool_.get());
+        if (prof) {
+            prof->addPhase(obs::EnginePhase::Evaluate,
+                           obs::EngineProfiler::sinceNs(t0));
+            t0 = Clock::now();
+        }
+        metrics_.record(cluster_, tick);
+        if (prof)
+            prof->addPhase(obs::EnginePhase::Record,
+                           obs::EngineProfiler::sinceNs(t0));
+        if (observer_)
+            observer_->endTick(tick);
+        ++now_;
     }
-    if (profiler_)
-        return runParallelProfiled(ticks);
-    return runParallel(ticks);
+    if (prof)
+        prof->addRun(done, obs::EngineProfiler::sinceNs(run_start));
+    return done;
 }
 
 void

@@ -14,19 +14,20 @@
  * Controllers never act at tick 0: the first tick is a pure measurement
  * tick, so every loop starts from a real observation.
  *
- * Parallel execution (docs/PARALLELISM.md): actors declare themselves
- * *shardable* (per-server state only, keyed by server id) or *global*
- * (cross-server reads/writes) via Actor::shardKey(). The engine fans
- * contiguous runs of shardable actors — and the per-server part of the
- * cluster evaluation — across a worker pool using static, contiguous
- * server shards, with a barrier before every global actor and before
- * metrics recording. Results are bit-identical to the serial engine for
- * any thread count.
+ * Parallel execution (docs/PARALLELISM.md): per-server control levels
+ * (EC, SM, electrical capper, memory manager) are *range kernels*
+ * (sim::Kernel) whose slot i belongs to server i; everything else is a
+ * *global* actor. The engine fans consecutive kernels across a worker
+ * pool over the static, contiguous server blocks the cluster
+ * evaluation uses, with a barrier before
+ * every global actor and before metrics recording. Results are
+ * bit-identical to the serial engine for any thread count.
  */
 
 #ifndef NPS_SIM_ENGINE_H
 #define NPS_SIM_ENGINE_H
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -47,15 +48,13 @@ class ThreadPool;
 namespace sim {
 
 /**
- * A scheduled participant of the simulation: a controller (EC, SM, EM,
- * GM, VMC, CAP, ...) or any other periodic agent.
+ * A scheduled participant of the simulation: a global controller (EM,
+ * GM, VMC, cooling manager, ...), a recorder, or any other periodic
+ * agent. Global actors always run on the engine thread.
  */
 class Actor
 {
   public:
-    /** shardKey() value of a global (non-shardable) actor. */
-    static constexpr long kGlobalShard = -1;
-
     virtual ~Actor() = default;
 
     /** Diagnostic name. */
@@ -65,20 +64,6 @@ class Actor
     virtual unsigned period() const = 0;
 
     /**
-     * Shard classification. Return a server id to declare the actor
-     * *shardable*: both observe() and step() may then run on a worker
-     * thread, concurrently with other shardable actors keyed to
-     * different servers. A shardable actor must touch only state owned
-     * by its server (the server itself, its own controller state, a
-     * controller nested on the same server) and must not use a shared
-     * RNG. Return kGlobalShard (the default) for anything that reads or
-     * writes cross-server state; global actors always run on the engine
-     * thread, with a barrier separating them from neighbouring shardable
-     * work.
-     */
-    virtual long shardKey() const { return kGlobalShard; }
-
-    /**
      * Called every tick (before any control steps) so long-epoch
      * controllers can accumulate averaged observations. Default: no-op.
      */
@@ -86,6 +71,45 @@ class Actor
 
     /** One control step at @p tick. */
     virtual void step(size_t tick) = 0;
+};
+
+/**
+ * A per-server control level stepped as one range kernel: slot i holds
+ * the level's state for server i, and observeRange()/stepRange() walk a
+ * contiguous slot range [lo, hi).
+ *
+ * Range-kernel contract: for a slot in [lo, hi) both calls may touch
+ * only that slot's own state and server i — the sim::Server itself, and
+ * slot i of a kernel nested on the same server (the SM drives slot i of
+ * the EC level through setReference()) — never another server, an
+ * enclosure or cluster aggregate, and never a shared RNG. The engine
+ * then runs disjoint ranges of the same kernel on different workers,
+ * over the contiguous blocks Cluster::evaluateTick uses, and runs
+ * consecutive kernels of the schedule inside one fork/join, kernel
+ * after kernel per block, so for each server every kernel steps in
+ * schedule order. A kernel is registered with Engine::addActor like any
+ * actor; its observe()/step() run the whole slot range serially.
+ */
+class Kernel : public Actor
+{
+  public:
+    /** Number of slots (servers) the level holds. */
+    virtual size_t slots() const = 0;
+
+    /** Observe tick @p tick for slots [lo, hi). Default: no-op. */
+    virtual void
+    observeRange(size_t tick, size_t lo, size_t hi)
+    {
+        (void)tick;
+        (void)lo;
+        (void)hi;
+    }
+
+    /** One control step at @p tick for slots [lo, hi). */
+    virtual void stepRange(size_t tick, size_t lo, size_t hi) = 0;
+
+    void observe(size_t tick) final { observeRange(tick, 0, slots()); }
+    void step(size_t tick) final { stepRange(tick, 0, slots()); }
 };
 
 /**
@@ -150,7 +174,8 @@ class Engine
      * period order (stable for ties), regardless of insertion order.
      * Registration is allowed between run() calls: the schedule is
      * (re)built lazily at the next run(), so a later-added actor joins
-     * the same coarse-first ordering from that run on.
+     * the same coarse-first ordering from that run on. An actor that is
+     * a sim::Kernel is dispatched over server ranges (see Kernel).
      *
      * Registering an actor whose name() matches an existing registration
      * *replaces* it in place (e.g. a controller instance rebuilt after a
@@ -162,7 +187,8 @@ class Engine
     void addActor(std::shared_ptr<Actor> actor);
 
     /**
-     * @return registered actors.
+     * @return registered actors: the per-level kernels and the global
+     * actors.
      *
      * Ordering contract (the single authoritative statement — the
      * scheduling, batching, and replacement logic all key off it):
@@ -200,8 +226,8 @@ class Engine
 
     /**
      * Attach (or detach, with nullptr) a wall-clock profiler. When
-     * attached, every actor observe()/step() call and the engine-level
-     * phases are timed; the profiler must outlive the engine or be
+     * attached, every global actor's observe()/step() call, every
+     * kernel call per shard and the engine-level phases are timed; the profiler must outlive the engine or be
      * detached first. Timing is observation-only: simulation results
      * are bit-identical with or without a profiler.
      */
@@ -236,7 +262,7 @@ class Engine
 
     /**
      * Serialize the clock and the actor roster (checkpointing). The
-     * roster is stored as a sorted name list and used purely as a
+     * roster (kernels and global actors) is stored as a sorted name list and used purely as a
      * consistency check on restore — actors serialize their own state.
      */
     void saveState(ckpt::SectionWriter &w) const;
@@ -249,50 +275,50 @@ class Engine
 
   private:
     /**
-     * One schedule segment: a maximal run of consecutive same-kind
-     * actors in the sorted order. A global segment holds exactly one
-     * actor. A shardable segment holds the actor indices partitioned by
-     * shard in one flat array (shard-major, each shard's slice in
-     * schedule order) with an offsets table — workers walk a contiguous
-     * index range instead of chasing a vector-of-vectors, and `fire`
-     * (the distinct periods present in the segment) lets the step phase
-     * skip the whole dispatch on ticks where no member fires.
+     * One schedule stage: a single global actor, or a maximal run of
+     * consecutive kernels [first, last) in schedule order, dispatched
+     * as one fork/join over the server blocks. `fire` (the distinct
+     * kernel periods) lets the step pass skip ticks where no member
+     * fires.
      */
-    struct Segment
+    struct Stage
     {
-        bool shardable = false;
-        size_t actor = 0;            //!< global only
-        std::vector<size_t> flat;    //!< shardable: indices, shard-major
-        std::vector<size_t> begin;   //!< shardable: shards+1 offsets
-        std::vector<unsigned> fire;  //!< shardable: distinct periods
+        size_t first = 0;
+        size_t last = 0;
+        bool kernels = false;
+        std::vector<unsigned> fire;
     };
 
     void preparePlan();
-    size_t runSerial(size_t ticks);
-    size_t runParallel(size_t ticks);
-    size_t runSerialProfiled(size_t ticks);
-    size_t runParallelProfiled(size_t ticks);
     void announceSchedule();
+    /**
+     * Run the observe (@p observe) or step pass of kernel stage @p st
+     * over every server block at @p tick, in one fork/join.
+     */
+    void runKernels(const Stage &st, size_t tick, bool observe);
+    /** Observe or step global actor @p a (timed when profiling). */
+    void runGlobal(size_t a, size_t tick, bool observe);
 
     Cluster &cluster_;
     MetricsCollector &metrics_;
     std::vector<std::shared_ptr<Actor>> actors_;
     // name -> current slot in actors_, so the replace-by-name path of
-    // addActor stays O(1) at fleet scale (hundreds of thousands of
-    // registrations). Rebuilt after the schedule sort moves slots.
+    // addActor stays O(1). Rebuilt after the schedule sort moves slots.
     std::unordered_map<std::string, size_t> slot_of_;
     size_t now_ = 0;
 
     unsigned threads_;
     std::unique_ptr<util::ThreadPool> pool_;
-    std::vector<Segment> plan_;
-    // Dispatch caches rebuilt with the plan: raw actor pointers and
-    // periods indexed like actors_, so the per-tick loops skip the
-    // shared_ptr control-block dereference and the virtual period()
-    // call. Valid only while plan_dirty_ is false (addActor and
-    // setThreads invalidate).
+    std::vector<Stage> plan_;
+    // Dispatch caches rebuilt with the plan, indexed like actors_: raw
+    // pointers, the kernel view (null for a global actor), periods, and
+    // each entry's first profiler row.
+    // Valid only while plan_dirty_ is false (addActor and setThreads
+    // invalidate).
     std::vector<Actor *> raw_;
+    std::vector<Kernel *> kernel_;
     std::vector<unsigned> period_;
+    std::vector<size_t> prof_row_;
     bool plan_dirty_ = true;
     obs::EngineProfiler *profiler_ = nullptr;
     TickSource *source_ = nullptr;

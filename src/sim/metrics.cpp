@@ -34,13 +34,15 @@ MetricsCollector::record(const Cluster &cluster, size_t tick)
     // violation of the physical budgets.
     constexpr double kSlack = 1e-9;
 
-    for (const auto &srv : cluster.servers()) {
+    // Straight over the SoA sensor arrays (cluster-owned servers sit in
+    // slot == id), in server-id order.
+    const ServerStateSoA &st = cluster.serverState();
+    for (ServerId id = 0; id < cluster.numServers(); ++id) {
         // Powered-off machines trivially comply; count only live ones so
         // the metric reflects capping quality, not fleet size.
-        if (srv.platformPower(tick) == PlatformPower::Off)
+        if (st.platformPower(id, tick) == PlatformPower::Off)
             continue;
-        sm_violations_.record(srv.lastPower() >
-                              cluster.capLoc(srv.id()) + kSlack);
+        sm_violations_.record(st.power[id] > cluster.capLoc(id) + kSlack);
     }
     for (const auto &enc : cluster.enclosures()) {
         em_violations_.record(cluster.lastEnclosurePower(enc.id()) >

@@ -31,14 +31,6 @@
 namespace nps {
 namespace sim {
 
-/** Power state of the whole platform. */
-enum class PlatformPower
-{
-    On,
-    Off,
-    Booting,
-};
-
 /** Per-tick evaluation result of one server. */
 struct ServerTick
 {
@@ -100,10 +92,17 @@ class Server
     /// @{
 
     /** @return the platform power state as of @p tick (resolves boot). */
-    PlatformPower platformPower(size_t tick) const;
+    PlatformPower
+    platformPower(size_t tick) const
+    {
+        return store_->platformPower(slot_, tick);
+    }
 
     /** @return true when serving at @p tick. */
-    bool isOn(size_t tick) const;
+    bool isOn(size_t tick) const
+    {
+        return platformPower(tick) == PlatformPower::On;
+    }
 
     /**
      * Power the platform off. @pre no hosted VMs (powering off a loaded
@@ -126,10 +125,19 @@ class Server
     size_t pstate() const { return store_->pstate[slot_]; }
 
     /** Set the P-state index. @pre valid index */
-    void setPState(size_t p);
+    void
+    setPState(size_t p)
+    {
+        if (p >= spec_->pstates().size())
+            badPState(p);
+        store_->pstate[slot_] = static_cast<uint32_t>(p);
+    }
 
     /** Clock frequency (MHz) of the current P-state. */
-    double frequencyMhz() const;
+    double frequencyMhz() const
+    {
+        return spec_->pstates().at(pstate()).freq_mhz;
+    }
 
     /// @}
     /// @name Auxiliary (memory) power actuator — MIMO extension hook
@@ -236,6 +244,8 @@ class Server
         store_->demanded_useful[slot_] = t.demanded_useful;
         store_->served_useful[slot_] = t.served_useful;
     }
+
+    [[noreturn]] void badPState(size_t p) const;
 
     PlatformPower
     powerState() const

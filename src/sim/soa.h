@@ -4,7 +4,7 @@
  * state (docs/PERFORMANCE.md).
  *
  * At fleet scale the per-tick hot path — Cluster::evaluateTick, the
- * metrics pass, and every shardable controller's sensor reads — is
+ * metrics pass, and every per-server kernel's sensor reads — is
  * dominated by memory traffic, not arithmetic. Keeping the mutable
  * scalars inside the Server / VirtualMachine objects interleaves the
  * few hot doubles with cold construction data (spec pointers, hosted-VM
@@ -34,6 +34,14 @@
 namespace nps {
 namespace sim {
 
+/** Power state of the whole platform. */
+enum class PlatformPower
+{
+    On,
+    Off,
+    Booting,
+};
+
 /**
  * Dynamic per-server state, one contiguous array per field, indexed by
  * server slot (== ServerId for cluster-owned servers).
@@ -59,6 +67,16 @@ struct ServerStateSoA
 
     /** Number of slots. */
     size_t size() const { return pstate.size(); }
+
+    /** Platform power state of @p slot as of @p tick (resolves boot). */
+    PlatformPower
+    platformPower(size_t slot, size_t tick) const
+    {
+        const auto state = static_cast<PlatformPower>(power_state[slot]);
+        if (state == PlatformPower::Booting && tick >= boot_done_tick[slot])
+            return PlatformPower::On;
+        return state;
+    }
 
     /** Resize every array to @p n slots, new slots default-initialized
      * (on, P0, zeroed sensors) — the state of a freshly built Server. */

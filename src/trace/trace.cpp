@@ -32,12 +32,10 @@ UtilizationTrace::UtilizationTrace(std::string name, WorkloadClass wc,
     }
 }
 
-double
-UtilizationTrace::at(size_t tick) const
+void
+UtilizationTrace::emptyTrace()
 {
-    if (samples_.empty())
-        util::panic("UtilizationTrace::at on empty trace");
-    return samples_[tick % samples_.size()];
+    util::panic("UtilizationTrace::at on empty trace");
 }
 
 double

@@ -69,7 +69,13 @@ class UtilizationTrace
      * Demand at @p tick; ticks beyond the end wrap around so simulations
      * may run longer than the recorded trace. @pre !empty()
      */
-    double at(size_t tick) const;
+    double
+    at(size_t tick) const
+    {
+        if (samples_.empty())
+            emptyTrace();
+        return samples_[tick % samples_.size()];
+    }
 
     /** Raw sample vector. */
     const std::vector<double> &samples() const { return samples_; }
@@ -96,6 +102,8 @@ class UtilizationTrace
                                   const std::string &name);
 
   private:
+    [[noreturn]] static void emptyTrace();
+
     std::string name_;
     WorkloadClass class_ = WorkloadClass::WebServer;
     std::vector<double> samples_;

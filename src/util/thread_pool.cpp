@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace nps {
@@ -8,13 +10,18 @@ namespace util {
 unsigned
 ThreadPool::hardwareThreads()
 {
+    // Clamped: the cap guards against bad explicit counts, not against
+    // a host that reports more hardware threads than it.
     unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : n;
+    return n == 0 ? 1 : std::min(n, kMaxThreads);
 }
 
 ThreadPool::ThreadPool(unsigned threads)
     : size_(threads == 0 ? hardwareThreads() : threads)
 {
+    if (threads > kMaxThreads)
+        fatal("ThreadPool: %u threads requested, at most %u allowed",
+              threads, kMaxThreads);
     // The calling thread is worker 0; spawn only the extras.
     workers_.reserve(size_ - 1);
     for (unsigned i = 1; i < size_; ++i)

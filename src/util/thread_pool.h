@@ -28,6 +28,12 @@ namespace nps {
 namespace util {
 
 /**
+ * Largest worker-thread count any knob accepts: the engine, the pool,
+ * and the parsers of `--threads` / `[deployment] threads` refuse more.
+ */
+inline constexpr unsigned kMaxThreads = 1024;
+
+/**
  * Fixed-size fork/join worker pool.
  */
 class ThreadPool
@@ -55,7 +61,7 @@ class ThreadPool
      */
     void parallelFor(size_t shards, const std::function<void(size_t)> &fn);
 
-    /** std::thread::hardware_concurrency(), clamped to >= 1. */
+    /** std::thread::hardware_concurrency(), clamped to [1, kMaxThreads]. */
     static unsigned hardwareThreads();
 
   private:

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "control/integral.h"
+#include "common/control/integral.h"
 
 namespace {
 

@@ -8,7 +8,7 @@
 
 #include <vector>
 
-#include "control/loop.h"
+#include "common/control/loop.h"
 
 namespace {
 

@@ -30,8 +30,19 @@ TEST(Coordinator, CoordinatedStackComplete)
     EXPECT_EQ(c.ems().size(), 1u);
     EXPECT_NE(c.gm(), nullptr);
     EXPECT_NE(c.vmc(), nullptr);
-    // 6 EC + 6 SM + 1 EM + 1 GM + 1 VMC actors.
-    EXPECT_EQ(c.engine().actors().size(), 15u);
+    // EC and SM range kernels (6 slots each) + 1 EM + 1 GM + 1 VMC.
+    EXPECT_EQ(c.engine().actors().size(), 5u);
+    std::vector<std::string> names;
+    for (const auto &a : c.engine().actors())
+        names.push_back(a->name());
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"EC[*]", "EM/0", "GM",
+                                               "SM[*]", "VMC"}));
+    for (const auto &a : c.engine().actors()) {
+        if (auto *k = dynamic_cast<const sim::Kernel *>(a.get())) {
+            EXPECT_EQ(k->slots(), 6u) << a->name();
+        }
+    }
 }
 
 TEST(Coordinator, BaselineStackEmpty)
@@ -63,8 +74,8 @@ TEST(Coordinator, CapStackAddsCappers)
     cfg.enable_cap = true;
     Coordinator c(cfg, smallTopo(), model::bladeA(),
                   nps_test::flatTraces(6, 0.3, 32));
-    // 15 actors + 6 electrical cappers.
-    EXPECT_EQ(c.engine().actors().size(), 21u);
+    // The 5 coordinated entries + the electrical-capper kernel.
+    EXPECT_EQ(c.engine().actors().size(), 6u);
     EXPECT_EQ(c.caps().size(), 6u);
 }
 
@@ -75,7 +86,8 @@ TEST(Coordinator, MemStackAddsMemoryManagers)
     Coordinator c(cfg, smallTopo(), model::bladeA(),
                   nps_test::flatTraces(6, 0.2, 64));
     EXPECT_EQ(c.mems().size(), 6u);
-    EXPECT_EQ(c.engine().actors().size(), 21u);
+    // The 5 coordinated entries + the memory-manager kernel.
+    EXPECT_EQ(c.engine().actors().size(), 6u);
     c.run(200);
     // At 22% load every server is quiet: the managers engage.
     unsigned long engaged = 0;

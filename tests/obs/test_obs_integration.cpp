@@ -39,6 +39,10 @@ struct RunOutputs
     std::string csv;
     size_t profiled_ticks = 0;
     size_t profiled_actors = 0;
+    /** EC and SM kernels x shards + one row per EM, GM and the VMC. */
+    size_t expected_rows = 0;
+    /** Profile rows whose name/shard match the kernel x shard layout. */
+    size_t kernel_rows = 0;
 };
 
 RunOutputs
@@ -76,6 +80,16 @@ runCoordinated(unsigned threads, bool obs_on,
         out.csv = csv.str();
         out.profiled_ticks = coord.profiler()->ticks();
         out.profiled_actors = coord.profiler()->actorStats().size();
+        out.expected_rows =
+            2 * threads + coord.ems().size() + coord.gms().size() + 1;
+        for (const auto &row : coord.profiler()->actorStats()) {
+            const bool kernel =
+                row.info.name == "EC[*]" || row.info.name == "SM[*]";
+            if (kernel && row.info.shard_key >= 0 &&
+                row.info.shard_key < static_cast<long>(threads) &&
+                row.step_calls > 0)
+                ++out.kernel_rows;
+        }
     } else {
         EXPECT_EQ(coord.metricsRegistry(), nullptr);
         EXPECT_EQ(coord.traceSink(), nullptr);
@@ -160,8 +174,10 @@ TEST(ObsIntegration, ProfilerCoversTheRun)
 {
     RunOutputs on = runCoordinated(4, true);
     EXPECT_EQ(on.profiled_ticks, kTicks);
-    // Mid60: 60 servers -> EC/SM/CAP/MM per server plus EM/GM/VMC.
-    EXPECT_GT(on.profiled_actors, 60u);
+    // Mid60 at 4 threads: one row per EC/SM kernel x shard (each shard
+    // of 60 servers is non-empty and steps) plus one per EM, GM and VMC.
+    EXPECT_EQ(on.profiled_actors, on.expected_rows);
+    EXPECT_EQ(on.kernel_rows, 2u * 4u);
 }
 
 TEST(ObsIntegration, TraceFilterRestrictsChannels)

@@ -2,21 +2,24 @@
  * @file
  * Randomized scheduling tests for the parallel tick engine.
  *
- * Each iteration builds a random actor population — random periods,
- * random insertion order, random shardable/global mix — runs it on the
- * sharded path (threads = 4) and checks the engine's scheduling
- * invariants hold regardless of the draw:
+ * Each iteration builds a random population — random periods, random
+ * insertion order, random mix of global actors and range kernels — runs
+ * it on the sharded path (threads = 4) and checks the engine's
+ * scheduling invariants hold regardless of the draw. A fuzz kernel does
+ * work for one server slot only (its key), so it stands for one
+ * per-server controller and is stamped exactly when the engine hands
+ * that slot to it:
  *
  *   - no actor steps at tick 0;
  *   - an actor steps exactly at the positive multiples of its period;
  *   - every actor observes every tick, and all observations of a tick
  *     complete before any step of that tick;
- *   - ordered pairs (two globals, a global and anything, or two actors
- *     on the same shard key) step coarse-period-first, stable by
+ *   - ordered pairs (two globals, a global and anything, or two kernels
+ *     keyed to the same server) step coarse-period-first, stable by
  *     insertion order for ties.
  *
- * Shardable actors on *different* shard keys may interleave freely
- * within a segment — the tests deliberately do not constrain them.
+ * Kernels keyed to *different* servers may interleave freely within a
+ * stage — the tests deliberately do not constrain them.
  */
 
 #include <gtest/gtest.h>
@@ -37,53 +40,132 @@ namespace {
 
 using namespace nps::sim;
 
-/** Stamps every observe()/step() with a process-wide sequence number. */
-class FuzzActor : public Actor
+/** Shard key of a global participant. */
+constexpr long kGlobalShard = -1;
+
+/**
+ * One fuzz participant's record: every observe()/step() it received,
+ * stamped with a process-wide sequence number.
+ */
+class FuzzProbe
 {
   public:
-    FuzzActor(std::string name, unsigned period, long shard,
+    FuzzProbe(std::string name, unsigned period, long shard,
               std::atomic<uint64_t> *clock)
         : name_(std::move(name)), period_(period), shard_(shard),
           clock_(clock)
     {
     }
 
-    const std::string &name() const override { return name_; }
-    unsigned period() const override { return period_; }
-    long shardKey() const override { return shard_; }
+    virtual ~FuzzProbe() = default;
 
-    void
-    observe(size_t tick) override
-    {
-        observe_stamps.push_back({tick, clock_->fetch_add(1)});
-    }
-
-    void
-    step(size_t tick) override
-    {
-        step_stamps.push_back({tick, clock_->fetch_add(1)});
-    }
-
+    const std::string &name() const { return name_; }
+    unsigned period() const { return period_; }
     long shard() const { return shard_; }
 
     std::vector<std::pair<size_t, uint64_t>> observe_stamps;
     std::vector<std::pair<size_t, uint64_t>> step_stamps;
 
-  private:
+  protected:
+    void stampObserve(size_t tick)
+    {
+        observe_stamps.push_back({tick, clock_->fetch_add(1)});
+    }
+    void stampStep(size_t tick)
+    {
+        step_stamps.push_back({tick, clock_->fetch_add(1)});
+    }
+
     std::string name_;
     unsigned period_;
     long shard_;
     std::atomic<uint64_t> *clock_;
 };
 
-/** True when the schedule fully orders the pair's steps within a tick:
- * a global actor is a barrier against everything, and same-shard actors
- * run serially in schedule order. */
-bool
-ordered(const FuzzActor &a, const FuzzActor &b)
+/** A global actor. */
+class FuzzActor : public Actor, public FuzzProbe
 {
-    return a.shard() == Actor::kGlobalShard ||
-           b.shard() == Actor::kGlobalShard || a.shard() == b.shard();
+  public:
+    FuzzActor(std::string name, unsigned period,
+              std::atomic<uint64_t> *clock)
+        : FuzzProbe(std::move(name), period, kGlobalShard, clock)
+    {
+    }
+
+    const std::string &name() const override { return name_; }
+    unsigned period() const override { return period_; }
+    void observe(size_t tick) override { stampObserve(tick); }
+    void step(size_t tick) override { stampStep(tick); }
+};
+
+/**
+ * A range kernel over @p slots servers that works on slot @p key only:
+ * it is stamped when the engine's range covers that slot.
+ */
+class FuzzKernel : public Kernel, public FuzzProbe
+{
+  public:
+    FuzzKernel(std::string name, unsigned period, long key, size_t slots,
+               std::atomic<uint64_t> *clock)
+        : FuzzProbe(std::move(name), period, key, clock), slots_(slots)
+    {
+    }
+
+    const std::string &name() const override { return name_; }
+    unsigned period() const override { return period_; }
+    size_t slots() const override { return slots_; }
+
+    void
+    observeRange(size_t tick, size_t lo, size_t hi) override
+    {
+        if (covers(lo, hi))
+            stampObserve(tick);
+    }
+
+    void
+    stepRange(size_t tick, size_t lo, size_t hi) override
+    {
+        if (covers(lo, hi))
+            stampStep(tick);
+    }
+
+  private:
+    bool
+    covers(size_t lo, size_t hi) const
+    {
+        const auto key = static_cast<size_t>(shard_);
+        return lo <= key && key < hi;
+    }
+
+    size_t slots_;
+};
+
+/** A global actor (shard < 0) or a kernel keyed to server @p shard. */
+std::shared_ptr<FuzzProbe>
+makeProbe(std::string name, unsigned period, long shard, size_t slots,
+          std::atomic<uint64_t> *clock)
+{
+    if (shard == kGlobalShard)
+        return std::make_shared<FuzzActor>(std::move(name), period, clock);
+    return std::make_shared<FuzzKernel>(std::move(name), period, shard,
+                                        slots, clock);
+}
+
+/** The engine-facing side of @p probe. */
+std::shared_ptr<Actor>
+asActor(const std::shared_ptr<FuzzProbe> &probe)
+{
+    return std::dynamic_pointer_cast<Actor>(probe);
+}
+
+/** True when the schedule fully orders the pair's steps within a tick:
+ * a global actor is a barrier against everything, and kernels keyed to
+ * the same server run serially in schedule order. */
+bool
+ordered(const FuzzProbe &a, const FuzzProbe &b)
+{
+    return a.shard() == kGlobalShard || b.shard() == kGlobalShard ||
+           a.shard() == b.shard();
 }
 
 uint64_t
@@ -111,16 +193,16 @@ fuzzOnce(uint32_t seed)
 
     std::atomic<uint64_t> clock{0};
     const size_t count = 8 + rng() % 12;
-    std::vector<std::shared_ptr<FuzzActor>> actors;
+    std::vector<std::shared_ptr<FuzzProbe>> actors;
     for (size_t i = 0; i < count; ++i) {
         const unsigned period = 1 + rng() % 13;
         const bool global = rng() % 3 == 0;
         const long shard =
-            global ? Actor::kGlobalShard
+            global ? kGlobalShard
                    : static_cast<long>(rng() % cluster.numServers());
-        actors.push_back(std::make_shared<FuzzActor>(
-            "f" + std::to_string(i), period, shard, &clock));
-        engine.addActor(actors.back());
+        actors.push_back(makeProbe("f" + std::to_string(i), period, shard,
+                                   cluster.numServers(), &clock));
+        engine.addActor(asActor(actors.back()));
     }
     engine.run(kTicks);
 
@@ -214,8 +296,7 @@ TEST(EngineFuzz, AllGlobalPopulationStaysSerialOrdered)
     std::vector<std::shared_ptr<FuzzActor>> actors;
     for (size_t i = 0; i < 10; ++i) {
         actors.push_back(std::make_shared<FuzzActor>(
-            "g" + std::to_string(i), 1 + rng() % 5, Actor::kGlobalShard,
-            &clock));
+            "g" + std::to_string(i), 1 + rng() % 5, &clock));
         engine.addActor(actors.back());
     }
     engine.run(kTicks);
@@ -261,46 +342,47 @@ fuzzReplaceOnce(uint32_t seed)
         const unsigned period = 1 + rng() % 7;
         const bool global = rng() % 4 == 0;
         const long shard =
-            global ? Actor::kGlobalShard
+            global ? kGlobalShard
                    : static_cast<long>(rng() % cluster.numServers());
-        return std::make_shared<FuzzActor>(name, period, shard, &clock);
+        return makeProbe(name, period, shard, cluster.numServers(), &clock);
     };
 
     const size_t count = 9 + rng() % 9;
-    std::vector<std::shared_ptr<FuzzActor>> originals;
+    std::vector<std::shared_ptr<FuzzProbe>> originals;
     for (size_t i = 0; i < count; ++i) {
         originals.push_back(draw("r" + std::to_string(i)));
-        engine.addActor(originals.back());
+        engine.addActor(asActor(originals.back()));
     }
     engine.run(kFirst);
 
     // Replace roughly a third by name — same period and shard, so the
     // replacement inherits the predecessor's exact schedule position —
     // and add a couple of newcomers.
-    std::vector<std::shared_ptr<FuzzActor>> replacements;
+    std::vector<std::shared_ptr<FuzzProbe>> replacements;
     for (size_t i = 0; i < count; ++i) {
         if (rng() % 3 != 0)
             continue;
-        auto twin = std::make_shared<FuzzActor>(
-            originals[i]->name(), originals[i]->period(),
-            originals[i]->shard(), &clock);
+        auto twin = makeProbe(originals[i]->name(),
+                              originals[i]->period(),
+                              originals[i]->shard(), cluster.numServers(),
+                              &clock);
         replacements.push_back(twin);
-        engine.addActor(twin);
+        engine.addActor(asActor(twin));
     }
     const size_t added = 2 + rng() % 3;
-    std::vector<std::shared_ptr<FuzzActor>> newcomers;
+    std::vector<std::shared_ptr<FuzzProbe>> newcomers;
     for (size_t i = 0; i < added; ++i) {
         newcomers.push_back(draw("n" + std::to_string(i)));
-        engine.addActor(newcomers.back());
+        engine.addActor(asActor(newcomers.back()));
     }
     engine.run(kTicks - kFirst);
 
     ASSERT_EQ(engine.actors().size(), count + added);
 
     // Current roster, in post-run schedule order; rank = vector index.
-    std::vector<FuzzActor *> current;
+    std::vector<FuzzProbe *> current;
     for (const auto &a : engine.actors()) {
-        auto *fa = dynamic_cast<FuzzActor *>(a.get());
+        auto *fa = dynamic_cast<FuzzProbe *>(a.get());
         ASSERT_NE(fa, nullptr);
         current.push_back(fa);
     }
@@ -308,7 +390,8 @@ fuzzReplaceOnce(uint32_t seed)
     // Replaced instances received nothing after the swap.
     for (const auto &r : replacements) {
         for (const auto &orig : originals) {
-            if (orig->name() != r->name() || orig.get() == r.get())
+            if (orig->name() != r->name() ||
+                orig.get() == r.get())
                 continue;
             EXPECT_TRUE(orig->observe_stamps.empty() ||
                         orig->observe_stamps.back().first < kFirst)
@@ -319,7 +402,7 @@ fuzzReplaceOnce(uint32_t seed)
         }
     }
 
-    for (FuzzActor *a : current) {
+    for (FuzzProbe *a : current) {
         // Every second-run tick observed, in order.
         const size_t window = kTicks - kFirst;
         ASSERT_GE(a->observe_stamps.size(), window) << a->name();

@@ -30,6 +30,7 @@
 #include "trace/trace.h"
 #include "trace/workload.h"
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -107,14 +108,14 @@ parse(int argc, char **argv)
         if (a == "--mix")
             args.mix = need(i), ++i;
         else if (a == "--seed")
-            args.seed = std::strtoull(need(i), nullptr, 10), ++i;
+            args.seed = util::parseUnsigned(need(i), "--seed"), ++i;
         else if (a == "--ticks")
-            args.ticks = std::strtoull(need(i), nullptr, 10), ++i;
+            args.ticks = util::parseUnsigned(need(i), "--ticks"), ++i;
         else if (a == "--start-tick")
-            args.start_tick = std::strtoull(need(i), nullptr, 10), ++i;
+            args.start_tick = util::parseUnsigned(need(i), "--start-tick"),
+            ++i;
         else if (a == "--pace-ms")
-            args.pace_ms = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10)), ++i;
+            args.pace_ms = util::parseUnsigned32(need(i), "--pace-ms"), ++i;
         else if (a == "--to")
             args.to = need(i), ++i;
         else if (a == "--silence")

@@ -22,6 +22,7 @@
 
 #include "stream/net.h"
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -54,8 +55,7 @@ main(int argc, char **argv)
         } else if (a == "--timeout-ms") {
             if (i + 1 >= argc)
                 util::fatal("--timeout-ms needs a value");
-            timeout_ms = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            timeout_ms = util::parseUnsigned32(argv[++i], "--timeout-ms");
         } else if (spec.empty()) {
             spec = a;
         } else if (path.empty()) {

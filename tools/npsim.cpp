@@ -55,6 +55,7 @@
 #include "util/csv.h"
 #include "util/ini.h"
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -205,15 +206,14 @@ parse(int argc, char **argv)
         else if (a == "--budgets")
             args.budgets = need(i), ++i;
         else if (a == "--ticks") {
-            args.ticks = std::strtoull(need(i), nullptr, 10);
+            args.ticks = util::parseUnsigned(need(i), "--ticks");
             args.ticks_set = true;
             ++i;
         }
         else if (a == "--seed")
-            args.seed = std::strtoull(need(i), nullptr, 10), ++i;
+            args.seed = util::parseUnsigned(need(i), "--seed"), ++i;
         else if (a == "--threads") {
-            args.threads = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10));
+            args.threads = util::parseThreads(need(i), "--threads");
             args.threads_set = true;
             ++i;
         }
@@ -232,8 +232,8 @@ parse(int argc, char **argv)
         else if (a == "--http")
             args.http = need(i), ++i;
         else if (a == "--http-linger") {
-            args.http_linger_ms = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10));
+            args.http_linger_ms =
+                util::parseUnsigned32(need(i), "--http-linger");
             args.http_linger_set = true;
             ++i;
         }
@@ -263,13 +263,14 @@ parse(int argc, char **argv)
         else if (a == "--record")
             args.record_path = need(i), ++i;
         else if (a == "--record-stride") {
-            args.record_stride = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10));
+            args.record_stride =
+                util::parseUnsigned32(need(i), "--record-stride");
             args.record_stride_set = true;
             ++i;
         }
         else if (a == "--checkpoint-every")
-            args.checkpoint_every = std::strtoull(need(i), nullptr, 10),
+            args.checkpoint_every =
+                util::parseUnsigned(need(i), "--checkpoint-every"),
             ++i;
         else if (a == "--checkpoint-dir")
             args.checkpoint_dir = need(i), ++i;

@@ -16,12 +16,14 @@
  */
 
 #include <cstdio>
+#include <climits>
 #include <cstdlib>
 #include <string>
 
 #include "core/dist.h"
 #include "core/dist_plan.h"
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -64,7 +66,8 @@ main(int argc, char **argv)
         if (a == "--plan")
             plan_path = need(i), ++i;
         else if (a == "--rank")
-            rank = static_cast<int>(std::strtol(need(i), nullptr, 10)),
+            rank = static_cast<int>(
+                util::parseUnsigned(need(i), "--rank", 0, INT_MAX)),
             ++i;
         else if (a == "--restore")
             restore_path = need(i), ++i;

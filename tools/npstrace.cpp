@@ -23,6 +23,7 @@
 #include "trace/trace_io.h"
 #include "trace/workload.h"
 #include "util/logging.h"
+#include "util/parse.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -74,12 +75,11 @@ parse(int argc, char **argv)
         else if (a == "--out")
             args.out_path = need(i), ++i;
         else if (a == "--seed")
-            args.seed = std::strtoull(need(i), nullptr, 10), ++i;
+            args.seed = util::parseUnsigned(need(i), "--seed"), ++i;
         else if (a == "--length")
-            args.length = std::strtoull(need(i), nullptr, 10), ++i;
+            args.length = util::parseUnsigned(need(i), "--length"), ++i;
         else if (a == "--threads")
-            args.threads = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10)), ++i;
+            args.threads = util::parseThreads(need(i), "--threads"), ++i;
         else if (a == "--help" || a == "-h")
             usage();
         else
